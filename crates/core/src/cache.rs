@@ -207,23 +207,4 @@ mod tests {
         let b = TraceDatabaseBuilder::quick_demo().workloads(["mcf"]).build();
         assert_ne!(other.fingerprint(&b), fp_a, "different stores, different fingerprints");
     }
-
-    #[test]
-    fn batch_path_shares_the_cache() {
-        let m = mind_with_cache();
-        let questions: Vec<String> = vec![
-            "What is the overall miss rate of the lbm workload under LRU?".into(),
-            "Which policy has the lowest miss rate in astar?".into(),
-        ];
-        let first = m.ask_batch(&questions);
-        let cache = m.answer_cache().expect("cache enabled");
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.inserts(), 2);
-        let second = m.ask_batch(&questions);
-        assert_eq!(cache.hits(), 2, "second round replays both answers");
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.text, b.text);
-            assert_eq!(a.prompt, b.prompt);
-        }
-    }
 }

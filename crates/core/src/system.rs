@@ -3,14 +3,11 @@
 //! [`CacheMind`] holds its trace store behind an `Arc<dyn TraceStore>`, so
 //! one database — monolithic or sharded — can be shared by any number of
 //! concurrent sessions (the serve layer's whole premise). Answering is a
-//! pure function of the question and the store, which is what makes the
-//! batched path ([`CacheMind::ask_batch`]) byte-identical to one-at-a-time
-//! [`CacheMind::ask`] calls regardless of worker count.
+//! pure function of the question and the store, which is what makes every
+//! served answer byte-identical regardless of how many requests are in
+//! flight.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use cachemind_lang::context::RetrievedContext;
 use cachemind_lang::generator::{Generator, GeneratorAnswer, GeneratorRequest, Verdict};
@@ -23,7 +20,7 @@ use cachemind_retrieval::ranger::RangerRetriever;
 use cachemind_retrieval::retriever::Retriever;
 use cachemind_retrieval::sieve::SieveRetriever;
 use cachemind_sim::scenario::ScenarioSelector;
-use cachemind_tracedb::database::{TraceDatabase, TraceId};
+use cachemind_tracedb::database::TraceDatabase;
 use cachemind_tracedb::store::TraceStore;
 
 /// Which retriever the system routes queries through.
@@ -136,84 +133,6 @@ pub struct Answer {
     pub context: RetrievedContext,
     /// The full prompt that was rendered for the generator.
     pub prompt: String,
-}
-
-/// A per-batch retrieval memo: serialized intent → retrieved context.
-///
-/// Retrieval is a pure function of `(store, intent)`, so replaying a cached
-/// context is indistinguishable from retrieving again — the cache changes
-/// the work done, never the answer. One cache lives per batch group (or per
-/// serve worker), so concurrent batches never contend on a lock.
-#[derive(Debug, Default)]
-pub struct ContextCache {
-    contexts: BTreeMap<String, RetrievedContext>,
-}
-
-impl ContextCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        ContextCache::default()
-    }
-
-    /// Number of memoized contexts.
-    pub fn len(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// Whether the cache holds no contexts.
-    pub fn is_empty(&self) -> bool {
-        self.contexts.is_empty()
-    }
-}
-
-/// A batch of concurrent questions answered together.
-///
-/// The batch path groups questions by the shard their resolved trace key
-/// lives on, runs the groups in parallel (rayon), memoizes retrieval per
-/// group, and fans the answers back out in input order. Answers are
-/// byte-identical to asking each question alone, in order.
-#[derive(Debug, Clone, Default)]
-pub struct QueryBatch {
-    questions: Vec<String>,
-}
-
-impl QueryBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        QueryBatch::default()
-    }
-
-    /// Adds a question.
-    pub fn question(mut self, q: impl Into<String>) -> Self {
-        self.questions.push(q.into());
-        self
-    }
-
-    /// The questions, in submission order.
-    pub fn questions(&self) -> &[String] {
-        &self.questions
-    }
-
-    /// Number of questions in the batch.
-    pub fn len(&self) -> usize {
-        self.questions.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.questions.is_empty()
-    }
-
-    /// Answers the whole batch against `mind`.
-    pub fn run(&self, mind: &CacheMind) -> Vec<Answer> {
-        mind.ask_batch(&self.questions)
-    }
-}
-
-impl<S: Into<String>> FromIterator<S> for QueryBatch {
-    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
-        QueryBatch { questions: iter.into_iter().map(Into::into).collect() }
-    }
 }
 
 /// The CacheMind system.
@@ -399,65 +318,16 @@ impl CacheMind {
         })
     }
 
-    /// The memo key for an intent: its full serialization (including the
-    /// raw question, which some retrieval templates consult), so a cache
-    /// hit can only replay a byte-identical retrieval.
-    fn context_key(intent: &QueryIntent) -> String {
-        serde_json::to_string(intent).unwrap_or_else(|_| intent.raw.clone())
-    }
-
-    /// The shard whose trace the intent's resolved `(workload, policy)`
-    /// pair lives on — the deterministic scheduling key the batch path
-    /// groups questions by. Questions that pin down neither slot fall back
-    /// to the store's first workload, mirroring retrieval's own defaults.
-    /// `workloads` is the store's sorted vocabulary, computed once per
-    /// batch.
-    fn home_shard(&self, intent: &QueryIntent, workloads: &[String]) -> usize {
-        let workload =
-            match intent.workload.as_deref().or_else(|| workloads.first().map(String::as_str)) {
-                Some(w) => w,
-                None => return 0,
-            };
-        let policy = intent.policy.as_deref().unwrap_or("lru");
-        self.db.shard_of(&TraceId::new(workload, policy).key())
-    }
-
-    /// The shared retrieve → generate pipeline behind every ask variant
-    /// ([`ask_query`], [`ask`], [`ask_batch`], the serve rounds): one code
-    /// path, so neither batching nor the entry point can change answers.
-    ///
-    /// [`ask_query`]: CacheMind::ask_query
-    /// [`ask`]: CacheMind::ask
-    /// [`ask_batch`]: CacheMind::ask_batch
-    fn answer_cached(
-        &self,
-        question: &str,
-        intent: &QueryIntent,
-        options: &QueryOptions,
-        cache: Option<&mut ContextCache>,
-    ) -> Answer {
+    /// The retrieve → generate pipeline behind [`CacheMind::ask_query`]:
+    /// exploration-command routing first, then retrieval-augmented
+    /// generation.
+    fn answer(&self, question: &str, intent: &QueryIntent, options: &QueryOptions) -> Answer {
         if options.explore {
             if let Some(answer) = self.try_exploration_intent(question, intent) {
                 return answer;
             }
         }
-        // Memo-key construction and the extra context clone only happen
-        // when a caller actually supplied a cache; the solo `ask` path
-        // retrieves directly.
-        let context = match cache {
-            None => self.active_retriever().retrieve(&*self.db, intent),
-            Some(cache) => {
-                let key = Self::context_key(intent);
-                match cache.contexts.get(&key) {
-                    Some(ctx) => ctx.clone(),
-                    None => {
-                        let ctx = self.active_retriever().retrieve(&*self.db, intent);
-                        cache.contexts.insert(key, ctx.clone());
-                        ctx
-                    }
-                }
-            }
-        };
+        let context = self.active_retriever().retrieve(&*self.db, intent);
         let mut builder = PromptBuilder::new();
         for ex in &self.shots {
             builder = builder.example(ex.clone());
@@ -512,26 +382,8 @@ impl CacheMind {
     pub fn ask_query(&self, query: &Query) -> Answer {
         self.answer_through_cache(query, || {
             let intent = self.parse_scoped(&query.text, &query.selector);
-            self.answer_cached(&query.text, &intent, &query.options, None)
+            self.answer(&query.text, &intent, &query.options)
         })
-    }
-
-    /// [`CacheMind::ask_query`] with an externally owned retrieval memo
-    /// (the serve workers keep one per worker, amortizing repeated
-    /// retrievals across the sessions a worker serves). The memo key
-    /// includes the resolved selector, so scoped and unscoped retrievals
-    /// never alias.
-    pub fn ask_query_with_cache(&self, query: &Query, cache: &mut ContextCache) -> Answer {
-        self.answer_through_cache(query, || {
-            let intent = self.parse_scoped(&query.text, &query.selector);
-            self.answer_cached(&query.text, &intent, &query.options, Some(cache))
-        })
-    }
-
-    /// Answers a question with an externally owned retrieval memo — the
-    /// unscoped wrapper over [`CacheMind::ask_query_with_cache`].
-    pub fn ask_with_cache(&self, question: &str, cache: &mut ContextCache) -> Answer {
-        self.ask_query_with_cache(&Query::new(question), cache)
     }
 
     /// Answers a question: exploration-command routing, then
@@ -539,83 +391,6 @@ impl CacheMind {
     /// [`CacheMind::ask_query`].
     pub fn ask(&self, question: &str) -> Answer {
         self.ask_query(&Query::new(question))
-    }
-
-    /// Answers a batch of concurrent typed queries.
-    ///
-    /// Queries are grouped by home shard, the groups run in parallel on
-    /// rayon workers (honoring `RAYON_NUM_THREADS`), retrieval is memoized
-    /// within each group, and answers fan back out in input order. The
-    /// result is byte-identical to calling [`CacheMind::ask_query`] on
-    /// each query serially, for any thread count.
-    ///
-    /// With the whole-answer cache enabled, hits are replayed up front and
-    /// only the misses enter the parallel pipeline — still byte-identical,
-    /// because answering is deterministic.
-    pub fn ask_query_batch(&self, queries: &[Query]) -> Vec<Answer> {
-        let Some(cache) = &self.answers else {
-            return self.ask_query_batch_pipeline(queries);
-        };
-        let keys: Vec<String> = queries.iter().map(|q| self.answer_key(q, cache)).collect();
-        let mut out: Vec<Option<Answer>> = keys.iter().map(|key| cache.get(key)).collect();
-        let miss_indices: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
-        if !miss_indices.is_empty() {
-            let miss_queries: Vec<Query> =
-                miss_indices.iter().map(|&i| queries[i].clone()).collect();
-            let answers = self.ask_query_batch_pipeline(&miss_queries);
-            for (&i, answer) in miss_indices.iter().zip(answers) {
-                cache.insert(keys[i].clone(), answer.clone());
-                out[i] = Some(answer);
-            }
-        }
-        out.into_iter().map(|a| a.expect("every query answered exactly once")).collect()
-    }
-
-    /// The shard-grouped parallel answering pipeline behind
-    /// [`CacheMind::ask_query_batch`] (the cache-independent half).
-    fn ask_query_batch_pipeline(&self, queries: &[Query]) -> Vec<Answer> {
-        // One vocabulary snapshot for the whole batch: parsing against it is
-        // identical to per-query `parse_scoped` calls (the store is
-        // immutable), without re-scanning every shard per query.
-        let workloads = self.db.workloads();
-        let policies = self.db.policies();
-        let workload_refs: Vec<&str> = workloads.iter().map(String::as_str).collect();
-        let policy_refs: Vec<&str> = policies.iter().map(String::as_str).collect();
-        let intents: Vec<QueryIntent> = queries
-            .iter()
-            .map(|q| QueryIntent::parse_scoped(&q.text, &workload_refs, &policy_refs, &q.selector))
-            .collect();
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, intent) in intents.iter().enumerate() {
-            groups.entry(self.home_shard(intent, &workloads)).or_default().push(i);
-        }
-        let group_list: Vec<Vec<usize>> = groups.into_values().collect();
-        let answered: Vec<Vec<(usize, Answer)>> = group_list
-            .into_par_iter()
-            .map(|indices| {
-                let mut cache = ContextCache::new();
-                indices
-                    .into_iter()
-                    .map(|i| {
-                        let q = &queries[i];
-                        (i, self.answer_cached(&q.text, &intents[i], &q.options, Some(&mut cache)))
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut out: Vec<Option<Answer>> = queries.iter().map(|_| None).collect();
-        for (i, answer) in answered.into_iter().flatten() {
-            out[i] = Some(answer);
-        }
-        out.into_iter().map(|a| a.expect("every query answered exactly once")).collect()
-    }
-
-    /// Answers a batch of plain questions — the unscoped wrapper over
-    /// [`CacheMind::ask_query_batch`], byte-identical to serial
-    /// [`CacheMind::ask`] calls.
-    pub fn ask_batch(&self, questions: &[String]) -> Vec<Answer> {
-        let queries: Vec<Query> = questions.iter().map(|q| Query::new(q.clone())).collect();
-        self.ask_query_batch(&queries)
     }
 }
 
@@ -771,34 +546,5 @@ mod tests {
         let rag = m.ask_query(&Query::new(q).with_options(QueryOptions { explore: false }));
         assert!(!rag.prompt.contains("program_counter.unique"), "forced RAG path");
         assert!(rag.prompt.contains("SYSTEM:"), "RAG prompt rendered");
-    }
-
-    #[test]
-    fn batched_ask_is_byte_identical_to_serial() {
-        let m = mind().with_retriever(RetrieverKind::Ranger);
-        let db = m.database();
-        let pc = db.get("astar_evictions_lru").unwrap().frame.rows()[0].pc;
-        let questions: Vec<String> = vec![
-            "What is the overall miss rate of the lbm workload under LRU?".into(),
-            format!("How many times did PC {pc} appear in astar under LRU?"),
-            "List all unique PCs in the mcf trace under LRU.".into(),
-            "Which workload has the highest cache miss rate under Belady?".into(),
-            // An exact duplicate: exercises the retrieval memo.
-            "What is the overall miss rate of the lbm workload under LRU?".into(),
-        ];
-        let serial: Vec<Answer> = questions.iter().map(|q| m.ask(q)).collect();
-        let batched = m.ask_batch(&questions);
-        assert_eq!(serial.len(), batched.len());
-        for (s, b) in serial.iter().zip(&batched) {
-            assert_eq!(s.text, b.text);
-            assert_eq!(s.prompt, b.prompt);
-            assert_eq!(s.verdict, b.verdict);
-        }
-        // The QueryBatch wrapper takes the same path.
-        let via_batch: QueryBatch = questions.iter().cloned().collect();
-        let again = via_batch.run(&m);
-        for (s, b) in serial.iter().zip(&again) {
-            assert_eq!(s.text, b.text);
-        }
     }
 }

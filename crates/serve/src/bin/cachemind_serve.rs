@@ -5,7 +5,7 @@
 //! cachemind-serve [--retriever sieve|ranger] [--scale tiny|small|full]
 //!                 [--shards S] [--threads N] [--max-idle-rounds R]
 //!
-//! # synthetic load driver: N sessions x M questions, batched rounds
+//! # synthetic load driver: N sessions x M questions as protocol lines
 //! cachemind-serve --load-driver [--sessions N] [--questions M]
 //!                 [--report BENCH_serve.json] [--no-timing] [...]
 //!
@@ -14,10 +14,11 @@
 //! cachemind-serve --db-path db.snap [--startup-compare] [...]
 //! ```
 //!
-//! The worker-pool width comes from `--threads`, else `SERVE_NUM_THREADS`,
-//! else the machine. With `--no-timing` the load driver prints only the
-//! deterministic report (no thread count, no wall-clock fields) — the form
-//! CI diffs across thread counts. `--report PATH` additionally writes the
+//! The number of requests in flight (TCP workers, load-driver clients)
+//! comes from `--threads`, else `SERVE_NUM_THREADS`, else the machine.
+//! With `--no-timing` the load driver prints only the deterministic
+//! report (no thread count, no wall-clock fields) — the form CI diffs
+//! across thread counts. `--report PATH` additionally writes the
 //! full report including throughput and latency percentiles.
 //!
 //! `--build-db PATH` runs the simulation build and writes the sharded
@@ -34,7 +35,7 @@ use std::time::Instant;
 
 use cachemind_core::system::RetrieverKind;
 use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, run_load_driver_tcp, LoadSpec, StartupTiming};
+use cachemind_serve::load::{run_load_driver, LoadSpec, StartupTiming, Transport};
 use cachemind_serve::net::{self, NetConfig, SessionScope, TcpServer};
 use cachemind_tracedb::ScenarioSelector;
 use cachemind_workloads::workload::Scale;
@@ -92,8 +93,8 @@ fn usage() -> ! {
          \x20   in-band with error_kind \"overloaded\"; --session-scope conn reaps a\n\
          \x20   connection's sessions at disconnect, global matches stdin semantics);\n\
          --tcp with --load-driver drives a *running* server at ADDR over real\n\
-         \x20   sockets instead of in-process rounds (the deterministic --no-timing\n\
-         \x20   report is byte-identical either way);\n\
+         \x20   sockets instead of serving the lines in process (the deterministic\n\
+         \x20   --no-timing report is byte-identical either way);\n\
          --shutdown-server asks the server at --tcp ADDR to shut down gracefully.\n\
          without --load-driver, serves newline-delimited JSON requests from stdin:\n\
          \x20   {{\"question\": \"...\", \"session\": 3}}   (omit session to open one)\n\
@@ -308,21 +309,31 @@ fn main() {
             scenarios,
             repeat_period: usize_flag(&args, "--repeat-period", 0),
         };
-        let mut outcome = match &tcp_addr {
-            // Socket mode: drive a *running* server over real TCP
-            // round-trips; the local engine only synthesizes questions
-            // and echoes configuration into the report.
+        // Socket mode drives a *running* server over real TCP round
+        // trips; the local engine then only synthesizes questions and
+        // echoes configuration into the report.
+        let transport = match &tcp_addr {
             Some(addr) => {
                 eprintln!("[cachemind-serve] driving server at {addr} over tcp ...");
-                match run_load_driver_tcp(&engine, spec, addr.as_str()) {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        eprintln!("error: tcp load drive against {addr} failed: {e}");
+                match std::net::ToSocketAddrs::to_socket_addrs(addr.as_str())
+                    .ok()
+                    .and_then(|mut addrs| addrs.next())
+                {
+                    Some(resolved) => Transport::Tcp(resolved),
+                    None => {
+                        eprintln!("error: cannot resolve server address {addr:?}");
                         std::process::exit(1);
                     }
                 }
             }
-            None => run_load_driver(&engine, spec),
+            None => Transport::InProcess,
+        };
+        let mut outcome = match run_load_driver(&engine, spec, transport) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                eprintln!("error: {} load drive failed: {e}", transport.label());
+                std::process::exit(1);
+            }
         };
         outcome.startup = startup;
         let with_timing = !has(&args, "--no-timing");
@@ -340,7 +351,7 @@ fn main() {
             // fetch them in-band over the socket, exactly as any client
             // would.
             Some(addr) => write_remote_stats_json(&args, addr),
-            None => write_stats_json(&args, &engine, "stdin"),
+            None => write_stats_json(&args, &engine, "in_process"),
         }
         return;
     }

@@ -1,24 +1,25 @@
-//! [`ServeEngine`] — the multi-session, batched query-serving front-end.
+//! [`ServeEngine`] — the multi-session query-serving front-end.
 //!
 //! One engine owns many concurrent [`ChatSession`]s over a single shared
-//! (`Arc`) sharded trace database. Requests are answered in *rounds*: the
-//! event loop gathers the pending question of every session, a worker pool
-//! (sized by `SERVE_NUM_THREADS`) answers the round in parallel through the
-//! stateless CacheMind pipeline, and the answers fan back out into each
-//! session's conversation memory in input order.
+//! (`Arc`) sharded trace database. Every request enters through one door,
+//! [`ServeEngine::serve_line`]: one protocol line in, one rendered
+//! response line out. Concurrency comes from the callers — the TCP
+//! workers and the load driver's client threads, `SERVE_NUM_THREADS` of
+//! them — each serving one line at a time.
 //!
 //! Determinism contract: answering is a pure function of `(store,
-//! question)`, workers receive contiguous chunks whose results are
-//! reassembled in input order, and session bookkeeping happens serially
-//! after the parallel phase — so every response, transcript and memory
-//! state is byte-identical for any `SERVE_NUM_THREADS`.
+//! question, scope)` and runs outside the session lock, while session
+//! bookkeeping (ids, turns, transcripts) happens under it. A caller that
+//! opens its sessions in order and asks each session's questions in
+//! order therefore gets byte-identical responses, transcripts and memory
+//! state for any `SERVE_NUM_THREADS`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cachemind_core::chat::ChatSession;
-use cachemind_core::system::{CacheMind, ContextCache, Query, RetrieverKind};
+use cachemind_core::system::{CacheMind, Query, RetrieverKind};
 use cachemind_lang::profiles::BackendKind;
 use cachemind_obs::{names, Counter, HistogramHandle, MetricsRegistry};
 use cachemind_sim::config::MachineConfig;
@@ -30,7 +31,7 @@ use cachemind_tracedb::store::TraceStore;
 use cachemind_tracedb::{ScenarioSelector, TraceDatabaseBuilder};
 use cachemind_workloads::workload::Scale;
 
-use crate::protocol::{AskRequest, AskResponse, ProtocolError, Response, STATS_VERSION};
+use crate::protocol::{AskRequest, AskResponse, ProtocolError, Request, Response, STATS_VERSION};
 use serde_json::Value;
 
 /// Serving configuration.
@@ -46,8 +47,9 @@ pub struct ServeConfig {
     pub scale: Scale,
     /// Shard count for the sharded build.
     pub shards: usize,
-    /// Worker threads; `None` reads `SERVE_NUM_THREADS`, falling back to
-    /// the machine's available parallelism.
+    /// Requests in flight (TCP workers, load-driver clients); `None` reads
+    /// `SERVE_NUM_THREADS`, falling back to the machine's available
+    /// parallelism.
     pub threads: Option<usize>,
     /// Extra [`MachineConfig`] preset names (`"table2"`, `"small"`) to
     /// build machine-qualified traces for, on top of the primary machine —
@@ -58,11 +60,11 @@ pub struct ServeConfig {
     /// for, on top of the no-prefetch baseline — so sessions pinned to
     /// `+stride4` selectors answer from real transformed-stream traces.
     pub prefetchers: Vec<String>,
-    /// Reap sessions left untouched for this many consecutive ask rounds
-    /// (a reaped id is thereafter an unknown session, exactly as if the
+    /// Reap sessions left untouched for this many consecutive rounds —
+    /// every ask and every open is one round of the engine's clock (a
+    /// reaped id is thereafter an unknown session, exactly as if the
     /// client had closed it). `None` disables reaping — sessions then
-    /// live until closed, the pre-reaping behaviour. A value of 0 is
-    /// clamped to 1.
+    /// live until closed. A value of 0 is clamped to 1.
     pub max_idle_rounds: Option<u64>,
     /// Whether the engine's [`CacheMind`] keeps a whole-answer cache
     /// (answers keyed by db fingerprint + canonical selector + question).
@@ -110,8 +112,8 @@ struct SessionState {
     /// The session's default scenario scope, pinned at open (unscoped for
     /// v1 sessions). A request-level `scenario` overrides it per turn.
     pinned: ScenarioSelector,
-    /// The last ask round that touched this session (opened it, probed
-    /// it, or asked through it) — the idle clock
+    /// The last round that touched this session (opened it, probed it,
+    /// or asked through it) — the idle clock
     /// [`ServeConfig::max_idle_rounds`] reaps against.
     last_active_round: u64,
 }
@@ -121,11 +123,9 @@ struct SessionState {
 #[derive(Debug, Default)]
 struct SessionTable {
     sessions: BTreeMap<u64, SessionState>,
-    /// Completed-round counter: incremented once at the start of every
-    /// [`ServeEngine::ask_round`] and once per
-    /// [`ServeEngine::open_request`], serially under the lock — the
-    /// deterministic clock idle reaping measures against (wall time would
-    /// break byte-stability across thread counts).
+    /// Round counter: incremented once per ask and once per open, under
+    /// the lock — the request-counting clock idle reaping measures
+    /// against (wall time would make reaping depend on machine speed).
     round: u64,
 }
 
@@ -188,7 +188,8 @@ pub struct LineOutcome {
     pub shutdown: bool,
 }
 
-/// The serving front-end: session manager + batched ask rounds.
+/// The serving front-end: a session manager behind one protocol-line
+/// entry point, [`ServeEngine::serve_line`].
 #[derive(Debug)]
 pub struct ServeEngine {
     store: Arc<dyn TraceStore>,
@@ -366,7 +367,7 @@ impl ServeEngine {
         &self.config
     }
 
-    /// Resolved worker-pool width.
+    /// Resolved number of requests in flight.
     pub fn num_threads(&self) -> usize {
         self.config.num_threads()
     }
@@ -382,8 +383,8 @@ impl ServeEngine {
     ///
     /// Serving answers always flow through the engine's shared pipeline
     /// (`self.mind`); the per-session mind is configured identically by
-    /// construction, so a session used directly (outside a round) answers
-    /// exactly as the engine would.
+    /// construction, so a session used directly answers exactly as the
+    /// engine would.
     fn fresh_session(&self, pinned: ScenarioSelector) -> (u64, SessionState) {
         self.metrics.sessions_opened.inc();
         let id = self.next_session.fetch_add(1, Ordering::SeqCst);
@@ -393,24 +394,6 @@ impl ServeEngine {
                 .with_backend(self.config.backend),
         );
         (id, SessionState { chat, pinned, last_active_round: 0 })
-    }
-
-    /// Opens a fresh unscoped chat session sharing the engine's database,
-    /// returning its id. Ids are assigned 1, 2, 3, ... in open order.
-    pub fn open_session(&self) -> u64 {
-        self.open_session_pinned(ScenarioSelector::all())
-    }
-
-    /// Opens a fresh chat session with a pinned default scenario scope:
-    /// every turn that does not carry its own `scenario` is answered
-    /// within this one — how a v2 client says *which machine* its session
-    /// asks about.
-    pub fn open_session_pinned(&self, pinned: ScenarioSelector) -> u64 {
-        let (id, mut session) = self.fresh_session(pinned);
-        let mut table = self.sessions.lock().expect("session map lock");
-        session.last_active_round = table.round;
-        table.sessions.insert(id, session);
-        id
     }
 
     /// The scenario scope a session pinned at open (unscoped for v1
@@ -450,7 +433,7 @@ impl ServeEngine {
     /// the map only grows. Returns the number of turns the session
     /// answered; closing an unknown (or already-closed) session is an
     /// [`ProtocolError::UnknownSession`].
-    pub fn close_session(&self, session: u64) -> Result<usize, ProtocolError> {
+    pub(crate) fn close_session(&self, session: u64) -> Result<usize, ProtocolError> {
         self.sessions
             .lock()
             .expect("session map lock")
@@ -464,14 +447,11 @@ impl ServeEngine {
     }
 
     /// Reaps sessions idle past the configured `--max-idle-rounds`
-    /// horizon — the shared tail of every round-clock tick ([`ask_round`]
-    /// and [`open_request`]). Measured against the table's *current*
-    /// round (which concurrent rounds may have advanced), so a session is
-    /// only reaped when no tick has touched it for the full window. A
-    /// no-op when no horizon is configured.
-    ///
-    /// [`ask_round`]: ServeEngine::ask_round
-    /// [`open_request`]: ServeEngine::open_request
+    /// horizon — the shared tail of every round-clock tick (each ask and
+    /// each open). Measured against the table's *current* round (which
+    /// concurrent requests may have advanced), so a session is only
+    /// reaped when no tick has touched it for the full window. A no-op
+    /// when no horizon is configured.
     fn reap_idle(&self, table: &mut SessionTable) {
         if let Some(max_idle) = self.config.max_idle_rounds {
             let limit = max_idle.max(1);
@@ -493,17 +473,13 @@ impl ServeEngine {
     /// id, echoes the existing pin and turn count, refreshing the
     /// session's idle clock; unknown ids fail in-band.
     ///
-    /// Like [`ServeEngine::ask_round`], an `open` ticks the round clock
-    /// and reaps sessions idle past the `--max-idle-rounds` horizon — so
-    /// a globally scoped TCP server whose traffic is opens and probes
-    /// still retires abandoned sessions. The session being opened or
-    /// probed is stamped with the new round first, so it is never reaped
-    /// by its own request.
-    pub fn open_request(
-        &self,
-        session: Option<u64>,
-        scenario: Option<ScenarioSelector>,
-    ) -> AskResponse {
+    /// Like an ask, an `open` ticks the round clock and reaps sessions
+    /// idle past the `--max-idle-rounds` horizon — so a globally scoped
+    /// TCP server whose traffic is opens and probes still retires
+    /// abandoned sessions. The session being opened or probed is stamped
+    /// with the new round first, so it is never reaped by its own
+    /// request.
+    fn open(&self, session: Option<u64>, scenario: Option<ScenarioSelector>) -> AskResponse {
         match session {
             None => {
                 let pinned = scenario.unwrap_or_default();
@@ -524,10 +500,7 @@ impl ServeEngine {
                         state.last_active_round = round;
                         AskResponse::opened(id, state.chat.transcript().len(), &state.pinned)
                     }
-                    None => {
-                        self.metrics.error(ProtocolError::UnknownSession(id).kind());
-                        AskResponse::failure(id, &ProtocolError::UnknownSession(id))
-                    }
+                    None => self.unknown_session(id),
                 };
                 self.reap_idle(&mut table);
                 response
@@ -535,66 +508,13 @@ impl ServeEngine {
         }
     }
 
-    /// Answers a single request (a one-element round).
-    pub fn handle(&self, request: &AskRequest) -> AskResponse {
-        self.ask_round(std::slice::from_ref(request)).pop().expect("one response per request")
-    }
-
-    /// Dispatches any protocol [`Request`](crate::protocol::Request):
-    /// asks run a one-element round, opens run
-    /// [`ServeEngine::open_request`], closes run
-    /// [`ServeEngine::close_session`], stats return
-    /// [`ServeEngine::stats_value`] — all answer in-band.
-    pub fn handle_request(&self, request: &crate::protocol::Request) -> Response {
-        use crate::protocol::Request;
-        match request {
-            Request::Ask(ask) => Response::Ask(self.handle(ask)),
-            Request::Open { session, scenario } => {
-                self.metrics.requests_open.inc();
-                Response::Ask(self.open_request(*session, scenario.clone()))
-            }
-            Request::Close { session } => {
-                self.metrics.requests_close.inc();
-                Response::Ask(match self.close_session(*session) {
-                    Ok(turns) => AskResponse::closed(*session, turns),
-                    Err(error) => {
-                        self.metrics.error(error.kind());
-                        AskResponse::failure(*session, &error)
-                    }
-                })
-            }
-            Request::Stats => {
-                // Snapshot first, count after: the response never counts
-                // itself, so after driving N requests the first stats
-                // response reports exactly N.
-                let stats = self.stats_value();
-                self.metrics.requests_stats.inc();
-                Response::Stats(stats)
-            }
-            // A transport-level control message: acknowledged in-band but
-            // never counted, so stats bytes are unaffected by how a run
-            // was stopped. The *transport* (TCP server, stdin loop) acts
-            // on the flag in the returned LineOutcome; the engine itself
-            // has nothing to stop.
-            Request::Shutdown => Response::Shutdown,
-        }
-    }
-
-    /// Serves one raw protocol line: parse, dispatch, render — the full
-    /// event-loop path behind the `cachemind-serve` stdin loop, with the
-    /// `serve.parse` / `serve.respond` spans and per-`error_kind` counters
-    /// recorded on the way through. Parse failures answer in-band exactly
-    /// as the binary always has. Equivalent to
-    /// [`ServeEngine::serve_line`] on the `"stdin"` transport, keeping
-    /// only the rendered response.
-    pub fn handle_line(&self, line: &str, with_timing: bool) -> String {
-        self.serve_line(line, with_timing, "stdin", None).rendered
-    }
-
-    /// Serves one raw protocol line on behalf of a named transport — the
-    /// shared event-loop path behind both the stdin loop (`"stdin"`,
-    /// via [`ServeEngine::handle_line`]) and the TCP workers (`"tcp"`,
-    /// via `crate::net`).
+    /// Serves one raw protocol line on behalf of a named transport: parse,
+    /// dispatch, render — the engine's only request entry point, behind
+    /// the stdin loop (`"stdin"`), the TCP workers (`"tcp"`, via
+    /// `crate::net`) and the load driver (`"in_process"`, via
+    /// `crate::load`). The `serve.parse` / `serve.respond` spans and the
+    /// per-`error_kind` counters are recorded on the way through; parse
+    /// failures answer in-band.
     ///
     /// The transport tag and the optional per-connection context surface
     /// in `stats` responses only (wall-clock side-channel content); every
@@ -611,8 +531,6 @@ impl ServeEngine {
         transport: &str,
         connection: Option<Value>,
     ) -> LineOutcome {
-        use crate::protocol::Request;
-
         let parse_span = self.metrics.parse.start_span();
         let parsed = Request::from_json(line);
         parse_span.finish();
@@ -623,33 +541,52 @@ impl ServeEngine {
             shutdown: false,
         };
         let response = match parsed {
-            Ok(request) => {
-                let response = self.handle_request(&request);
-                match (&request, &response) {
-                    (Request::Ask(ask), Response::Ask(resp))
-                        if ask.session.is_none() && resp.is_ok() =>
-                    {
-                        outcome.opened_session = Some(resp.session);
-                    }
-                    (Request::Open { session: None, .. }, Response::Ask(resp)) if resp.is_ok() => {
-                        outcome.opened_session = Some(resp.session);
-                    }
-                    (Request::Close { session }, Response::Ask(resp)) if resp.is_ok() => {
-                        outcome.closed_session = Some(*session);
-                    }
-                    (Request::Shutdown, _) => outcome.shutdown = true,
-                    _ => {}
+            Ok(Request::Ask(ask)) => {
+                let response = self.ask(&ask);
+                if ask.session.is_none() && response.is_ok() {
+                    outcome.opened_session = Some(response.session);
                 }
-                match response {
-                    Response::Stats(mut value) => {
-                        value.insert("transport", Value::from(transport));
-                        if let Some(connection) = connection {
-                            value.insert("connection", connection);
-                        }
-                        Response::Stats(value)
-                    }
-                    other => other,
+                Response::Ask(response)
+            }
+            Ok(Request::Open { session, scenario }) => {
+                self.metrics.requests_open.inc();
+                let response = self.open(session, scenario);
+                if session.is_none() && response.is_ok() {
+                    outcome.opened_session = Some(response.session);
                 }
+                Response::Ask(response)
+            }
+            Ok(Request::Close { session }) => {
+                self.metrics.requests_close.inc();
+                Response::Ask(match self.close_session(session) {
+                    Ok(turns) => {
+                        outcome.closed_session = Some(session);
+                        AskResponse::closed(session, turns)
+                    }
+                    Err(error) => {
+                        self.metrics.error(error.kind());
+                        AskResponse::failure(session, &error)
+                    }
+                })
+            }
+            Ok(Request::Stats) => {
+                // Snapshot first, count after: the response never counts
+                // itself, so after driving N requests the first stats
+                // response reports exactly N.
+                let mut stats = self.stats_value_tagged(transport);
+                self.metrics.requests_stats.inc();
+                if let Some(connection) = connection {
+                    stats.insert("connection", connection);
+                }
+                Response::Stats(stats)
+            }
+            // A transport-level control message: acknowledged in-band but
+            // never counted, so stats bytes are unaffected by how a run
+            // was stopped. The transport (TCP server, stdin loop) acts on
+            // the flag; the engine itself has nothing to stop.
+            Ok(Request::Shutdown) => {
+                outcome.shutdown = true;
+                Response::Shutdown
             }
             Err(error) => {
                 self.metrics.error(error.kind());
@@ -738,132 +675,91 @@ impl ServeEngine {
         value
     }
 
-    /// Answers one round of requests — the batched, multi-session path.
-    ///
-    /// Produces exactly one response per request, in request order.
-    /// Unknown sessions yield in-band error responses; requests without a
-    /// session id open a new session (in request order, so id assignment
-    /// is deterministic too).
-    pub fn ask_round(&self, requests: &[AskRequest]) -> Vec<AskResponse> {
-        self.metrics.requests_ask.add(requests.len() as u64);
-        // Phase 0 (serial, one lock for the round): resolve or open
-        // sessions in request order, and resolve each request's scenario
-        // scope — its own `scenario` field, else the session's pinned
-        // default. A session-opening request's scenario becomes the new
-        // session's pinned scope.
-        let mut items: Vec<(usize, u64, Query)> = Vec::with_capacity(requests.len());
-        let mut failures: Vec<(usize, AskResponse)> = Vec::new();
-        let round;
-        {
+    /// Answers one ask: resolve (or open) the session and its scope under
+    /// the session lock, answer outside it, then record the turn under
+    /// the lock again. A request without a session id opens one pinned to
+    /// its scenario; a request-level scenario overrides the session's pin
+    /// for this turn only. Scoped (v2) requests additionally report the
+    /// machine and prefetcher labels their grounded evidence cites; v1
+    /// responses keep the legacy bytes exactly.
+    fn ask(&self, request: &AskRequest) -> AskResponse {
+        self.metrics.requests_ask.inc();
+        let (id, round, selector) = {
             let mut table = self.sessions.lock().expect("session map lock");
             table.round += 1;
-            round = table.round;
-            for (index, request) in requests.iter().enumerate() {
-                let resolved = match request.session {
-                    Some(id) => match table.sessions.get_mut(&id) {
-                        Some(session) => {
-                            session.last_active_round = round;
-                            Some((
-                                id,
-                                request.scenario.clone().unwrap_or_else(|| session.pinned.clone()),
-                            ))
-                        }
-                        None => {
-                            self.metrics.error(ProtocolError::UnknownSession(id).kind());
-                            failures.push((
-                                index,
-                                AskResponse::failure(id, &ProtocolError::UnknownSession(id)),
-                            ));
-                            None
-                        }
-                    },
-                    None => {
-                        let pinned = request.scenario.clone().unwrap_or_default();
-                        let (id, mut session) = self.fresh_session(pinned.clone());
+            let round = table.round;
+            let (id, selector) = match request.session {
+                Some(id) => match table.sessions.get_mut(&id) {
+                    Some(session) => {
                         session.last_active_round = round;
-                        table.sessions.insert(id, session);
-                        Some((id, pinned))
+                        (id, request.scenario.clone().unwrap_or_else(|| session.pinned.clone()))
                     }
-                };
-                if let Some((id, selector)) = resolved {
-                    let selector = self.canonicalize(selector);
-                    items.push((index, id, Query::scoped(request.question.clone(), selector)));
+                    None => {
+                        self.reap_idle(&mut table);
+                        return self.unknown_session(id);
+                    }
+                },
+                None => {
+                    let pinned = request.scenario.clone().unwrap_or_default();
+                    let (id, mut session) = self.fresh_session(pinned.clone());
+                    session.last_active_round = round;
+                    table.sessions.insert(id, session);
+                    (id, pinned)
                 }
-            }
-        }
+            };
+            (id, round, selector)
+        };
 
-        // Phase 1 (parallel): answer every query through the shared
-        // stateless pipeline; each worker keeps a retrieval memo for the
-        // chunk it serves (memo keys include the resolved scope, so
-        // sessions pinned to different machines never alias).
-        let answered = run_chunked(items, self.num_threads(), |chunk| {
-            let mut cache = ContextCache::new();
-            chunk
-                .into_iter()
-                .map(|(index, session, query)| {
-                    let span = self.metrics.ask_latency.start_span();
-                    let answer = self.mind.ask_query_with_cache(&query, &mut cache);
-                    let micros = span.finish();
-                    (index, session, query, answer, micros)
-                })
-                .collect::<Vec<_>>()
-        });
+        // Canonicalizing may force a lazy store to decode its labels, so
+        // it runs outside the lock like the answer itself.
+        let query = Query::scoped(request.question.clone(), self.canonicalize(selector));
+        let span = self.metrics.ask_latency.start_span();
+        let answer = self.mind.ask_query(&query);
+        let micros = span.finish();
+        let (machine, prefetcher) = if query.selector.machine_scope().is_unscoped() {
+            (None, None)
+        } else {
+            (
+                cited_machine(self.machine_labels(), &answer),
+                cited_prefetcher(self.prefetcher_labels(), &answer),
+            )
+        };
 
-        // Phase 2 (serial, input order): record turns into sessions and
-        // assemble responses. Scoped (v2) requests additionally report the
-        // machine label their grounded evidence cites; v1 responses keep
-        // the legacy bytes exactly.
-        let mut responses: Vec<Option<AskResponse>> = requests.iter().map(|_| None).collect();
-        {
-            let mut table = self.sessions.lock().expect("session map lock");
-            for (index, session_id, query, answer, micros) in answered {
-                // The session can vanish between phases: another thread may
-                // close it while the round's answers are being computed
-                // outside the lock. That is an in-band unknown-session
-                // failure, not a panic — a poisoned map would brick the
-                // whole engine.
-                let Some(session) = table.sessions.get_mut(&session_id) else {
-                    self.metrics.error(ProtocolError::UnknownSession(session_id).kind());
-                    responses[index] = Some(AskResponse::failure(
-                        session_id,
-                        &ProtocolError::UnknownSession(session_id),
-                    ));
-                    continue;
-                };
-                // Stamp with max: a concurrent later round may already
-                // have moved this session's clock past ours.
-                session.last_active_round = session.last_active_round.max(round);
-                session.chat.log(&query.text, &answer.text);
-                let (machine, prefetcher) = if query.selector.machine_scope().is_unscoped() {
-                    (None, None)
-                } else {
-                    (
-                        cited_machine(self.machine_labels(), &answer),
-                        cited_prefetcher(self.prefetcher_labels(), &answer),
-                    )
-                };
-                responses[index] = Some(AskResponse {
-                    session: session_id,
-                    turn: session.chat.transcript().len(),
-                    answer: Some(answer.text),
-                    verdict: Some(format!("{:?}", answer.verdict)),
-                    machine,
-                    prefetcher,
-                    scenario: None,
-                    closed: false,
-                    error: None,
-                    error_kind: None,
-                    micros,
-                });
-            }
-            // End of the round: reap sessions idle past the configured
-            // horizon.
+        let mut table = self.sessions.lock().expect("session map lock");
+        // Another request may have closed (or reaped) the session while
+        // the answer was being computed: an in-band unknown-session
+        // failure, not a panic — a poisoned map would brick the engine.
+        let Some(session) = table.sessions.get_mut(&id) else {
             self.reap_idle(&mut table);
+            return self.unknown_session(id);
+        };
+        // Stamp with max: a concurrent later request may already have
+        // moved this session's clock past ours.
+        session.last_active_round = session.last_active_round.max(round);
+        session.chat.log(&query.text, &answer.text);
+        let turn = session.chat.transcript().len();
+        self.reap_idle(&mut table);
+        AskResponse {
+            session: id,
+            turn,
+            answer: Some(answer.text),
+            verdict: Some(format!("{:?}", answer.verdict)),
+            machine,
+            prefetcher,
+            scenario: None,
+            closed: false,
+            error: None,
+            error_kind: None,
+            micros,
         }
-        for (index, failure) in failures {
-            responses[index] = Some(failure);
-        }
-        responses.into_iter().map(|r| r.expect("response per request")).collect()
+    }
+
+    /// The in-band failure for a request naming a session the engine does
+    /// not hold (never opened, closed, or reaped), counted by kind.
+    fn unknown_session(&self, id: u64) -> AskResponse {
+        let error = ProtocolError::UnknownSession(id);
+        self.metrics.error(error.kind());
+        AskResponse::failure(id, &error)
     }
 }
 
@@ -930,19 +826,6 @@ fn cited_prefetcher(labels: &[String], answer: &cachemind_core::system::Answer) 
         .cloned()
 }
 
-/// The worker pool: `rayon::parallel_chunks` with the pool width answering
-/// to `SERVE_NUM_THREADS` (via the caller) rather than rayon's own env —
-/// same contiguous-chunk, input-order-preserving discipline as every other
-/// parallel stage in the workspace.
-fn run_chunked<T, O, F>(items: Vec<T>, workers: usize, f: F) -> Vec<O>
-where
-    T: Send,
-    O: Send,
-    F: Fn(Vec<T>) -> Vec<O> + Sync,
-{
-    rayon::parallel_chunks(items, workers, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -956,14 +839,37 @@ mod tests {
         ServeEngine::over(db, config)
     }
 
+    /// Serves one line and parses its ask-shaped response.
+    fn serve(engine: &ServeEngine, line: &str) -> AskResponse {
+        let rendered = engine.serve_line(line, false, "stdin", None).rendered;
+        AskResponse::from_json(&rendered).expect("ask-shaped response")
+    }
+
+    /// Serves one ask through the protocol line path.
+    fn ask(engine: &ServeEngine, request: AskRequest) -> AskResponse {
+        serve(engine, &request.to_json())
+    }
+
+    /// Opens a session with an `open` line, optionally pinned.
+    fn open(engine: &ServeEngine, scenario: Option<ScenarioSelector>) -> u64 {
+        let response = serve(engine, &Request::Open { session: None, scenario }.to_json());
+        assert!(response.is_ok(), "{response:?}");
+        response.session
+    }
+
     #[test]
     fn fresh_requests_open_sessions_in_order() {
         let engine = engine(2);
-        let reqs = vec![
-            AskRequest::new("What is the overall miss rate of the mcf workload under LRU?"),
-            AskRequest::new("What is the overall miss rate of the lbm workload under LRU?"),
+        let responses = [
+            ask(
+                &engine,
+                AskRequest::new("What is the overall miss rate of the mcf workload under LRU?"),
+            ),
+            ask(
+                &engine,
+                AskRequest::new("What is the overall miss rate of the lbm workload under LRU?"),
+            ),
         ];
-        let responses = engine.ask_round(&reqs);
         assert_eq!(responses[0].session, 1);
         assert_eq!(responses[1].session, 2);
         assert_eq!(engine.session_count(), 2);
@@ -974,17 +880,16 @@ mod tests {
     #[test]
     fn unknown_sessions_fail_in_band() {
         let engine = engine(1);
-        let responses = engine.ask_round(&[AskRequest::in_session(42, "hello?")]);
-        assert_eq!(responses.len(), 1);
-        assert!(!responses[0].is_ok());
-        assert!(responses[0].error.as_deref().unwrap().contains("unknown session 42"));
+        let response = ask(&engine, AskRequest::in_session(42, "hello?"));
+        assert!(!response.is_ok());
+        assert!(response.error.as_deref().unwrap().contains("unknown session 42"));
         // The unified in-band error shape: same fields as a parse failure,
         // discriminated by the stable error_kind.
-        assert_eq!(responses[0].error_kind.as_deref(), Some("unknown_session"));
-        assert_eq!(responses[0].turn, 0);
+        assert_eq!(response.error_kind.as_deref(), Some("unknown_session"));
+        assert_eq!(response.turn, 0);
         let parse_failure = AskResponse::failure(0, &ProtocolError::BadRequest("x".into()));
         assert_eq!(parse_failure.error_kind.as_deref(), Some("bad_request"));
-        assert_eq!(parse_failure.turn, responses[0].turn, "both error shapes agree");
+        assert_eq!(parse_failure.turn, response.turn, "both error shapes agree");
     }
 
     #[test]
@@ -997,8 +902,8 @@ mod tests {
             ..Default::default()
         };
         let engine = ServeEngine::build(config).expect("presets are valid");
-        let a = engine.open_session_pinned(ScenarioSelector::all().with_machine("table2"));
-        let b = engine.open_session_pinned(ScenarioSelector::all().with_machine("small"));
+        let a = open(&engine, Some(ScenarioSelector::all().with_machine("table2")));
+        let b = open(&engine, Some(ScenarioSelector::all().with_machine("small")));
         assert_eq!(
             engine.pinned_scenario(a).unwrap().machine.as_deref(),
             Some("table2"),
@@ -1006,8 +911,10 @@ mod tests {
         );
 
         let q = "What is the estimated IPC for mcf under LRU?";
-        let responses =
-            engine.ask_round(&[AskRequest::in_session(a, q), AskRequest::in_session(b, q)]);
+        let responses = [
+            ask(&engine, AskRequest::in_session(a, q)),
+            ask(&engine, AskRequest::in_session(b, q)),
+        ];
         assert!(responses.iter().all(AskResponse::is_ok));
         let on_a = responses[0].machine.as_deref().expect("scoped response cites its machine");
         let on_b = responses[1].machine.as_deref().expect("scoped response cites its machine");
@@ -1017,7 +924,7 @@ mod tests {
         // A request-level scenario overrides the session pin for one turn.
         let scoped = AskRequest::in_session(a, q)
             .with_scenario(ScenarioSelector::all().with_machine("small"));
-        let overridden = engine.ask_round(&[scoped]).pop().unwrap();
+        let overridden = ask(&engine, scoped);
         assert_eq!(
             overridden.machine.as_deref(),
             Some(on_b),
@@ -1037,9 +944,9 @@ mod tests {
             ..Default::default()
         };
         let engine = ServeEngine::build(config).expect("preset is valid");
-        let open = AskRequest::new("What is the estimated IPC for mcf under LRU?")
+        let opening = AskRequest::new("What is the estimated IPC for mcf under LRU?")
             .with_scenario(ScenarioSelector::all().with_machine("small"));
-        let response = engine.ask_round(&[open]).pop().unwrap();
+        let response = ask(&engine, opening);
         assert!(response.is_ok());
         let pinned = engine.pinned_scenario(response.session).expect("session opened");
         assert_eq!(pinned.machine.as_deref(), Some("small"), "opening scenario becomes the pin");
@@ -1056,17 +963,25 @@ mod tests {
     #[test]
     fn rounds_record_turns_into_the_right_sessions() {
         let engine = engine(4);
-        let a = engine.open_session();
-        let b = engine.open_session();
-        let round = vec![
-            AskRequest::in_session(
-                a,
-                "What is the overall miss rate of the mcf workload under LRU?",
+        let a = open(&engine, None);
+        let b = open(&engine, None);
+        let responses = [
+            ask(
+                &engine,
+                AskRequest::in_session(
+                    a,
+                    "What is the overall miss rate of the mcf workload under LRU?",
+                ),
             ),
-            AskRequest::in_session(b, "Which policy has the lowest miss rate in astar?"),
-            AskRequest::in_session(a, "List all unique PCs in the mcf trace under LRU."),
+            ask(
+                &engine,
+                AskRequest::in_session(b, "Which policy has the lowest miss rate in astar?"),
+            ),
+            ask(
+                &engine,
+                AskRequest::in_session(a, "List all unique PCs in the mcf trace under LRU."),
+            ),
         ];
-        let responses = engine.ask_round(&round);
         assert_eq!(responses[0].turn, 1);
         assert_eq!(responses[1].turn, 1);
         assert_eq!(responses[2].turn, 2, "second question to session a is its turn 2");
@@ -1078,18 +993,20 @@ mod tests {
 
     #[test]
     fn close_removes_the_session_from_the_map() {
-        use crate::protocol::Request;
-
         let engine = engine(2);
-        let a = engine.open_session();
-        let b = engine.open_session();
-        engine.ask_round(&[AskRequest::in_session(
-            a,
-            "What is the overall miss rate of the mcf workload under LRU?",
-        )]);
+        let a = open(&engine, None);
+        let b = open(&engine, None);
+        ask(
+            &engine,
+            AskRequest::in_session(
+                a,
+                "What is the overall miss rate of the mcf workload under LRU?",
+            ),
+        );
         assert_eq!(engine.session_count(), 2);
 
-        let response = engine.handle_request(&Request::Close { session: a }).expect_ask();
+        let close = Request::Close { session: a }.to_json();
+        let response = serve(&engine, &close);
         assert!(response.is_ok());
         assert!(response.closed);
         assert_eq!(response.turn, 1, "echoes the turns the session answered");
@@ -1098,14 +1015,14 @@ mod tests {
         assert_eq!(engine.pinned_scenario(a), None);
 
         // A closed id is thereafter unknown, to asks and closes alike.
-        let again = engine.handle_request(&Request::Close { session: a }).expect_ask();
+        let again = serve(&engine, &close);
         assert_eq!(again.error_kind.as_deref(), Some("unknown_session"));
         assert!(!again.closed);
-        let ask = engine.ask_round(&[AskRequest::in_session(a, "hello?")]).pop().unwrap();
-        assert_eq!(ask.error_kind.as_deref(), Some("unknown_session"));
+        let asked = ask(&engine, AskRequest::in_session(a, "hello?"));
+        assert_eq!(asked.error_kind.as_deref(), Some("unknown_session"));
 
         // Ids are never reused: the next open continues the sequence.
-        let c = engine.open_session();
+        let c = open(&engine, None);
         assert!(c > b, "ids must stay monotonic after a close");
     }
 
@@ -1121,8 +1038,8 @@ mod tests {
         };
         let engine = ServeEngine::build(config).expect("presets and prefetchers valid");
         let pin = ScenarioSelector::parse("astar@table2+stride4/lru").expect("selector");
-        let open = AskRequest::new("What is the estimated IPC?").with_scenario(pin.clone());
-        let response = engine.ask_round(&[open]).pop().unwrap();
+        let opening = AskRequest::new("What is the estimated IPC?").with_scenario(pin.clone());
+        let response = ask(&engine, opening);
         assert!(response.is_ok(), "{:?}", response.error);
         assert_eq!(engine.pinned_scenario(response.session), Some(pin));
         let machine = response.machine.as_deref().expect("scoped response cites its machine");
@@ -1136,7 +1053,7 @@ mod tests {
         // The same session's baseline override drops the citation.
         let baseline = AskRequest::in_session(response.session, "What is the estimated IPC?")
             .with_scenario(ScenarioSelector::parse("astar@table2/lru").unwrap());
-        let overridden = engine.ask_round(&[baseline]).pop().unwrap();
+        let overridden = ask(&engine, baseline);
         assert_eq!(overridden.prefetcher, None, "baseline evidence cites no prefetcher");
         assert_ne!(overridden.answer, response.answer, "prefetch-aware IPC must differ");
     }
@@ -1169,8 +1086,8 @@ mod tests {
         assert_eq!(loaded.config().shards, 3, "snapshot shard count wins");
         assert_eq!(loaded.store().len(), fresh.store().len());
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        let a = fresh.handle(&AskRequest::new(q));
-        let b = loaded.handle(&AskRequest::new(q));
+        let a = ask(&fresh, AskRequest::new(q));
+        let b = ask(&loaded, AskRequest::new(q));
         assert!(a.is_ok() && b.is_ok());
         assert_eq!(a.answer, b.answer, "snapshot-backed answers are byte-identical");
         assert_eq!(a.verdict, b.verdict);
@@ -1196,20 +1113,20 @@ mod tests {
             .try_build_sharded()
             .expect("demo build");
         let engine = ServeEngine::over(db, config);
-        let active = engine.open_session();
-        let idle = engine.open_session();
+        let active = open(&engine, None); // round 1
+        let idle = open(&engine, None); // round 2
         assert_eq!(engine.session_count(), 2);
 
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        // Round 1 touches only `active`; `idle` has sat out one round —
+        // Round 3 touches only `active`; `idle` has sat out one round —
         // still within the two-round window.
-        engine.ask_round(&[AskRequest::in_session(active, q)]);
+        assert!(ask(&engine, AskRequest::in_session(active, q)).is_ok());
         assert_eq!(engine.session_count(), 2, "one idle round survives a window of two");
-        // Round 2: `idle` has now sat out two full rounds — reaped.
-        engine.ask_round(&[AskRequest::in_session(active, q)]);
+        // Round 4: `idle` has now sat out two full rounds — reaped.
+        assert!(ask(&engine, AskRequest::in_session(active, q)).is_ok());
         assert_eq!(engine.session_count(), 1);
         assert_eq!(engine.transcript(idle), None, "reaped state is gone");
-        let resp = engine.ask_round(&[AskRequest::in_session(idle, q)]).pop().unwrap();
+        let resp = ask(&engine, AskRequest::in_session(idle, q)); // round 5
         assert_eq!(
             resp.error_kind.as_deref(),
             Some("unknown_session"),
@@ -1217,10 +1134,11 @@ mod tests {
         );
 
         // An `open` probe counts as activity: it resets the idle clock.
-        let probed = engine.open_session();
-        engine.ask_round(&[AskRequest::in_session(active, q)]);
-        engine.open_request(Some(probed), None);
-        engine.ask_round(&[AskRequest::in_session(active, q)]);
+        assert!(ask(&engine, AskRequest::in_session(active, q)).is_ok()); // round 6
+        let probed = open(&engine, None); // round 7
+        assert!(ask(&engine, AskRequest::in_session(active, q)).is_ok()); // round 8
+        serve(&engine, &Request::Open { session: Some(probed), scenario: None }.to_json());
+        assert!(ask(&engine, AskRequest::in_session(active, q)).is_ok()); // round 10
         assert!(engine.transcript(probed).is_some(), "probe refreshed the idle clock");
     }
 
@@ -1237,29 +1155,31 @@ mod tests {
             .try_build_sharded()
             .expect("demo build");
         let engine = ServeEngine::over(db, config);
+        let probe = |session: Option<u64>| {
+            serve(&engine, &Request::Open { session, scenario: None }.to_json())
+        };
 
-        // A session abandoned at round 0; all later traffic is opens and
-        // probes only — the TCP-global-scope shape where no ask round
-        // ever runs.
-        let abandoned = engine.open_session();
-        let first = engine.open_request(None, None); // round 1
+        // A session abandoned at round 1; all later traffic is opens and
+        // probes only — the TCP-global-scope shape where no ask ever runs.
+        let abandoned = open(&engine, None); // round 1
+        let first = probe(None); // round 2
         assert!(first.is_ok());
         assert_eq!(engine.session_count(), 2, "one idle round survives a window of two");
-        let second = engine.open_request(None, None); // round 2: abandoned is 2 rounds idle
+        let second = probe(None); // round 3: abandoned is 2 rounds idle
         assert!(second.is_ok());
         assert_eq!(engine.session_count(), 2, "opens-only traffic reaped the abandoned session");
         assert!(engine.transcript(abandoned).is_none(), "reaped state is gone");
 
         // A probe stamps its own session before reaping, so it is never
         // reaped by its own request.
-        let probe = engine.open_request(Some(first.session), None); // round 3
-        assert!(probe.is_ok());
-        assert_eq!(probe.session, first.session);
+        let probed = probe(Some(first.session)); // round 4
+        assert!(probed.is_ok());
+        assert_eq!(probed.session, first.session);
         assert_eq!(engine.session_count(), 2);
 
         // Even a failed probe ticks the clock and reaps: `second` (last
-        // active at round 2) falls to this round-4 tick.
-        let missing = engine.open_request(Some(999), None); // round 4
+        // active at round 3) falls to this round-5 tick.
+        let missing = probe(Some(999)); // round 5
         assert_eq!(missing.error_kind.as_deref(), Some("unknown_session"));
         assert_eq!(engine.session_count(), 1);
         assert!(engine.transcript(first.session).is_some(), "the probed session survived");
@@ -1274,8 +1194,8 @@ mod tests {
     fn stats_report_the_answer_cache() {
         let engine = engine(1);
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        engine.handle(&AskRequest::new(q));
-        engine.handle(&AskRequest::new(q));
+        ask(&engine, AskRequest::new(q));
+        ask(&engine, AskRequest::new(q));
         let stats = engine.stats_value();
         let cache = stats.get("cache").expect("stats v2 carries the cache object");
         let count = |key: &str| cache.get(key).and_then(Value::as_u64);
@@ -1293,7 +1213,7 @@ mod tests {
             .try_build_sharded()
             .expect("demo build");
         let off = ServeEngine::over(db, config);
-        off.handle(&AskRequest::new(q));
+        ask(&off, AskRequest::new(q));
         let stats = off.stats_value();
         let cache = stats.get("cache").expect("cache object present even when disabled");
         assert_eq!(cache.get("enabled").and_then(Value::as_bool), Some(false));
@@ -1302,8 +1222,6 @@ mod tests {
 
     #[test]
     fn open_requests_acknowledge_without_burning_a_question() {
-        use crate::protocol::Request;
-
         let config = ServeConfig {
             threads: Some(1),
             shards: 2,
@@ -1312,9 +1230,8 @@ mod tests {
         };
         let engine = ServeEngine::build(config).expect("preset is valid");
         let pin = ScenarioSelector::all().with_machine("small");
-        let resp = engine
-            .handle_request(&Request::Open { session: None, scenario: Some(pin.clone()) })
-            .expect_ask();
+        let resp =
+            serve(&engine, &Request::Open { session: None, scenario: Some(pin.clone()) }.to_json());
         assert!(resp.is_ok());
         assert_eq!(resp.turn, 0, "fresh opens acknowledge at turn 0");
         assert_eq!(resp.scenario.as_deref(), Some("@small"), "the pin comes back");
@@ -1323,10 +1240,11 @@ mod tests {
 
         // After a turn, a probe echoes the pin and the turn count.
         let q = "What is the estimated IPC for mcf under LRU?";
-        engine.ask_round(&[AskRequest::in_session(resp.session, q)]);
-        let probe = engine
-            .handle_request(&Request::Open { session: Some(resp.session), scenario: None })
-            .expect_ask();
+        ask(&engine, AskRequest::in_session(resp.session, q));
+        let probe = serve(
+            &engine,
+            &Request::Open { session: Some(resp.session), scenario: None }.to_json(),
+        );
         assert!(probe.is_ok());
         assert_eq!(probe.session, resp.session);
         assert_eq!(probe.turn, 1);
@@ -1334,19 +1252,16 @@ mod tests {
         assert_eq!(engine.transcript(resp.session).unwrap().len(), 1, "probe burned nothing");
 
         // Probing an unknown session fails in-band.
-        let missing = engine
-            .handle_request(&Request::Open { session: Some(999), scenario: None })
-            .expect_ask();
+        let missing =
+            serve(&engine, &Request::Open { session: Some(999), scenario: None }.to_json());
         assert_eq!(missing.error_kind.as_deref(), Some("unknown_session"));
     }
 
     #[test]
     fn concurrent_closes_never_poison_the_engine() {
         let engine = engine(2);
-        let ids: Vec<u64> = (0..6).map(|_| engine.open_session()).collect();
+        let ids: Vec<u64> = (0..6).map(|_| open(&engine, None)).collect();
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        let requests: Vec<AskRequest> =
-            ids.iter().map(|id| AskRequest::in_session(*id, q)).collect();
 
         std::thread::scope(|scope| {
             let closer = scope.spawn(|| {
@@ -1354,11 +1269,12 @@ mod tests {
                     let _ = engine.close_session(*id);
                 }
             });
-            // Rounds race the closer: every response must be either a real
+            // Asks race the closer: every response must be either a real
             // answer or an in-band unknown-session failure — never a panic
             // or a poisoned lock.
             for _ in 0..3 {
-                for response in engine.ask_round(&requests) {
+                for id in &ids {
+                    let response = ask(&engine, AskRequest::in_session(*id, q));
                     assert!(
                         response.is_ok()
                             || response.error_kind.as_deref() == Some("unknown_session"),
@@ -1370,7 +1286,7 @@ mod tests {
         });
 
         // The engine still serves fresh sessions after the churn.
-        let after = engine.handle(&AskRequest::new(q));
+        let after = ask(&engine, AskRequest::new(q));
         assert!(after.is_ok());
     }
 
@@ -1414,9 +1330,25 @@ mod tests {
     }
 
     #[test]
+    fn over_deep_lines_answer_invalid_json_without_overflowing() {
+        // 200k opening brackets, then 200k closing ones: deep enough to
+        // overflow the stack of a recursive parser with no depth bound.
+        let engine = engine(1);
+        let line = "[".repeat(200_000) + &"]".repeat(200_000);
+        let outcome = engine.serve_line(&line, false, "stdin", None);
+        let response = AskResponse::from_json(&outcome.rendered).expect("one in-band response");
+        assert_eq!(response.error_kind.as_deref(), Some("invalid_json"), "{}", outcome.rendered);
+        assert_eq!(outcome.opened_session, None);
+
+        // The engine keeps serving.
+        let q = "What is the overall miss rate of the mcf workload under LRU?";
+        assert!(ask(&engine, AskRequest::new(q)).is_ok());
+    }
+
+    #[test]
     fn stats_lines_carry_their_transport_and_connection_context() {
         let engine = engine(1);
-        let stdin = engine.handle_line("{\"stats\": true}", true);
+        let stdin = engine.serve_line("{\"stats\": true}", true, "stdin", None).rendered;
         assert!(stdin.contains("\"transport\":\"stdin\""), "{stdin}");
         assert!(!stdin.contains("\"connection\""), "{stdin}");
 
@@ -1436,16 +1368,5 @@ mod tests {
         // The out-of-band writer shape matches the in-band one.
         let tagged = engine.stats_value_tagged("tcp");
         assert_eq!(tagged.get("transport").and_then(Value::as_str), Some("tcp"));
-    }
-
-    #[test]
-    fn handle_matches_round_of_one() {
-        let first = engine(2);
-        let other = engine(2);
-        let q = "Why does Belady outperform LRU in mcf?";
-        let via_handle = first.handle(&AskRequest::new(q));
-        let via_round = other.ask_round(&[AskRequest::new(q)]).pop().unwrap();
-        assert_eq!(via_handle.answer, via_round.answer);
-        assert_eq!(via_handle.verdict, via_round.verdict);
     }
 }

@@ -1,13 +1,13 @@
 //! # cachemind-serve
 //!
-//! The CacheMind serving subsystem: a batched, multi-session front-end
-//! over one shared, sharded trace database.
+//! The CacheMind serving subsystem: a multi-session front-end over one
+//! shared, sharded trace database.
 //!
-//! * [`engine::ServeEngine`] — the session manager and worker-pool event
-//!   loop. Many concurrent [`ChatSession`](cachemind_core::chat::ChatSession)s
-//!   share a single `Arc`'d [`ShardedTraceDatabase`](cachemind_tracedb::shard::ShardedTraceDatabase);
-//!   each *round* batches the pending question of every session and
-//!   answers them in parallel on `SERVE_NUM_THREADS` workers.
+//! * [`engine::ServeEngine`] — the session manager. Many concurrent
+//!   [`ChatSession`](cachemind_core::chat::ChatSession)s share a single
+//!   `Arc`'d [`ShardedTraceDatabase`](cachemind_tracedb::shard::ShardedTraceDatabase);
+//!   every request — from stdin, TCP or the load driver — is one protocol
+//!   line through [`ServeEngine::serve_line`].
 //! * [`protocol`] — the newline-delimited JSON wire format
 //!   ([`AskRequest`] / [`AskResponse`], plus the session-lifecycle
 //!   [`Request::Close`]) with in-band errors and
@@ -16,8 +16,8 @@
 //! * [`load`] — the synthetic load driver behind
 //!   `cachemind-serve --load-driver`: replays N sessions × M questions and
 //!   reports throughput and latency percentiles as JSON
-//!   (`BENCH_serve.json`), in-process or over a real TCP socket
-//!   (`--tcp`).
+//!   (`BENCH_serve.json`), in process or over a real TCP socket
+//!   (`--tcp`), sending the same protocol lines either way.
 //! * [`net`] — the TCP transport behind `cachemind-serve --tcp`: an
 //!   acceptor thread, a bounded connection table with per-connection
 //!   reader/writer threads, a bounded work queue feeding the
@@ -32,14 +32,15 @@
 //!
 //! ```rust
 //! use cachemind_serve::engine::{ServeConfig, ServeEngine};
-//! use cachemind_serve::protocol::AskRequest;
+//! use cachemind_serve::protocol::{AskRequest, AskResponse};
 //! use cachemind_tracedb::TraceDatabaseBuilder;
 //!
 //! let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().unwrap();
 //! let engine = ServeEngine::over(db, ServeConfig { threads: Some(2), ..Default::default() });
-//! let response = engine.handle(&AskRequest::new(
-//!     "What is the overall miss rate of the mcf workload under LRU?",
-//! ));
+//! let line = AskRequest::new("What is the overall miss rate of the mcf workload under LRU?");
+//! let outcome = engine.serve_line(&line.to_json(), false, "stdin", None);
+//! assert_eq!(outcome.opened_session, Some(1), "a session-less ask opens a session");
+//! let response = AskResponse::from_json(&outcome.rendered).unwrap();
 //! assert!(response.is_ok());
 //! ```
 
@@ -49,6 +50,6 @@ pub mod net;
 pub mod protocol;
 
 pub use engine::{LineOutcome, ServeConfig, ServeEngine};
-pub use load::{run_load_driver, run_load_driver_tcp, LoadOutcome, LoadSpec};
+pub use load::{run_load_driver, LoadOutcome, LoadSpec, Transport};
 pub use net::{NetConfig, SessionScope, TcpServer};
 pub use protocol::{AskRequest, AskResponse, ProtocolError, Request};

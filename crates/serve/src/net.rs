@@ -575,11 +575,17 @@ fn accept_connection(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) 
 /// shutdown) is what unblocks it, so no buffered request is discarded.
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnState>, mut stream: TcpStream) {
     let mut buffer: Vec<u8> = Vec::new();
+    // How much of `buffer` is known to hold no newline: the search resumes
+    // past it after every read, so framing a long line costs O(n), not a
+    // rescan from byte 0 per 4 KB read.
+    let mut scanned = 0usize;
     let mut scratch = [0u8; 4096];
     let mut next_seq = 0u64;
     loop {
         // Frame every complete line currently buffered.
-        while let Some(newline) = buffer.iter().position(|&b| b == b'\n') {
+        while let Some(offset) = buffer[scanned..].iter().position(|&b| b == b'\n') {
+            let newline = scanned + offset;
+            scanned = 0;
             let span = shared.metrics.read.start_span();
             let raw: Vec<u8> = buffer.drain(..=newline).collect();
             shared.metrics.bytes_in.add(raw.len() as u64);
@@ -601,6 +607,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnState>, mut stream: TcpStrea
             }
             span.finish();
         }
+        scanned = buffer.len();
         if shared.shutting_down() {
             break;
         }

@@ -9,7 +9,7 @@
 
 use cachemind_obs::names::{RETRIEVAL_CACHE_HITS, RETRIEVAL_CACHE_INSERTS};
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, LoadSpec};
+use cachemind_serve::load::{run_load_driver, LoadSpec, Transport};
 use cachemind_tracedb::TraceDatabaseBuilder;
 
 fn engine(threads: usize, answer_cache: bool) -> ServeEngine {
@@ -26,9 +26,11 @@ fn engine(threads: usize, answer_cache: bool) -> ServeEngine {
 /// the two deterministic reports.
 fn drive_pair(threads: usize, spec: &LoadSpec) -> (String, String) {
     let on = engine(threads, true);
-    let on_outcome = run_load_driver(&on, spec.clone());
+    let on_outcome =
+        run_load_driver(&on, spec.clone(), Transport::InProcess).expect("in-process drive");
     let off = engine(threads, false);
-    let off_outcome = run_load_driver(&off, spec.clone());
+    let off_outcome =
+        run_load_driver(&off, spec.clone(), Transport::InProcess).expect("in-process drive");
 
     // The cache-on run actually cached: the repeated-question mix must
     // produce hits, otherwise this test proves nothing.

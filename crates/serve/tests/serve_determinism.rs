@@ -1,7 +1,7 @@
 //! Serving determinism and isolation, pinned end to end:
 //!
-//! * the batched multi-session path produces byte-identical answers to a
-//!   serial one-at-a-time replay, for any worker count;
+//! * the concurrent load driver produces byte-identical answers, turns
+//!   and transcripts to a serial one-line-at-a-time `serve_line` replay;
 //! * the load driver's deterministic report is byte-identical across
 //!   `SERVE_NUM_THREADS` equivalents (explicit thread counts, so the tests
 //!   stay parallel-safe without mutating the environment);
@@ -10,8 +10,10 @@
 
 use cachemind_core::system::{CacheMind, RetrieverKind};
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, synthetic_question, LoadSpec};
-use cachemind_serve::protocol::AskRequest;
+use cachemind_serve::load::{
+    run_load_driver, synthetic_question, LoadOutcome, LoadSpec, Transport,
+};
+use cachemind_serve::protocol::{AskRequest, AskResponse};
 use cachemind_tracedb::store::TraceStore;
 use cachemind_tracedb::{ScenarioSelector, TraceDatabaseBuilder};
 
@@ -24,13 +26,29 @@ fn engine_with(threads: usize, retriever: RetrieverKind) -> ServeEngine {
     ServeEngine::over(db, config)
 }
 
+fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
+    run_load_driver(engine, spec, Transport::InProcess).expect("in-process drive")
+}
+
+/// Serves one protocol line and parses its ask-shaped response.
+fn serve(engine: &ServeEngine, line: &str) -> AskResponse {
+    let rendered = engine.serve_line(line, false, "stdin", None).rendered;
+    AskResponse::from_json(&rendered).expect("ask-shaped response")
+}
+
+fn open(engine: &ServeEngine) -> u64 {
+    let opened = serve(engine, "{\"open\": true}");
+    assert!(opened.is_ok(), "{opened:?}");
+    opened.session
+}
+
 #[test]
 fn load_driver_is_byte_identical_across_worker_counts() {
     let spec = LoadSpec { sessions: 5, questions: 3, scenarios: vec![], repeat_period: 0 };
     let mut reports = Vec::new();
     for threads in [1usize, 2, 8] {
         let engine = engine_with(threads, RetrieverKind::Sieve);
-        let outcome = run_load_driver(&engine, spec.clone());
+        let outcome = drive(&engine, spec.clone());
         reports.push((threads, outcome.render(&engine, false)));
     }
     let (_, reference) = &reports[0];
@@ -43,33 +61,33 @@ fn load_driver_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn batched_rounds_match_serial_replay() {
+fn load_driver_matches_serial_serve_line_replay() {
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };
-    let batched_engine = engine_with(8, RetrieverKind::Ranger);
-    let outcome = run_load_driver(&batched_engine, spec.clone());
+    let driven_engine = engine_with(8, RetrieverKind::Ranger);
+    let outcome = drive(&driven_engine, spec.clone());
 
-    // Serial replay: a fresh single-threaded engine answers the same
-    // questions one at a time, in the same (turn-major) order the rounds
-    // processed them.
+    // Serial replay: a fresh engine answers the same questions one line
+    // at a time, session by session, with no concurrency at all.
     let serial_engine = engine_with(1, RetrieverKind::Ranger);
-    let ids: Vec<u64> = (0..spec.sessions).map(|_| serial_engine.open_session()).collect();
-    for turn in 0..spec.questions {
-        for (s, id) in ids.iter().enumerate() {
+    let ids: Vec<u64> = (0..spec.sessions).map(|_| open(&serial_engine)).collect();
+    for (s, id) in ids.iter().enumerate() {
+        for turn in 0..spec.questions {
             let question = synthetic_question(serial_engine.store(), s, turn);
             assert_eq!(question, outcome.questions[s][turn], "question synthesis must agree");
-            let serial = serial_engine.handle(&AskRequest::in_session(*id, question));
-            let batched = &outcome.responses[s][turn];
-            assert_eq!(serial.answer, batched.answer, "session {s} turn {turn}");
-            assert_eq!(serial.verdict, batched.verdict, "session {s} turn {turn}");
-            assert_eq!(serial.turn, batched.turn, "session {s} turn {turn}");
+            let serial = serve(&serial_engine, &AskRequest::in_session(*id, question).to_json());
+            let driven = &outcome.responses[s][turn];
+            assert_eq!(serial.session, driven.session, "session {s} turn {turn}");
+            assert_eq!(serial.answer, driven.answer, "session {s} turn {turn}");
+            assert_eq!(serial.verdict, driven.verdict, "session {s} turn {turn}");
+            assert_eq!(serial.turn, driven.turn, "session {s} turn {turn}");
         }
     }
 
     // Transcripts agree too (memory state is part of the contract).
-    for (s, id) in ids.iter().enumerate() {
+    for id in &ids {
         let serial = serial_engine.transcript(*id).expect("session exists");
-        let batched = batched_engine.transcript((s + 1) as u64).expect("session exists");
-        assert_eq!(serial, batched, "transcript diverged for session {s}");
+        let driven = driven_engine.transcript(*id).expect("session exists");
+        assert_eq!(serial, driven, "transcript diverged for session {id}");
     }
 }
 
@@ -98,7 +116,7 @@ fn scenario_pinned_load_driver_is_byte_identical_across_worker_counts() {
             ..Default::default()
         };
         let engine = ServeEngine::build(config).expect("presets valid");
-        let outcome = run_load_driver(&engine, spec.clone());
+        let outcome = drive(&engine, spec.clone());
         assert_eq!(outcome.errors(), 0, "{threads} workers");
         reports.push((threads, outcome.render(&engine, false)));
     }
@@ -125,8 +143,8 @@ fn scenario_pinned_load_driver_is_byte_identical_across_worker_counts() {
         ServeEngine::build(ServeConfig { threads: Some(2), shards: 3, ..Default::default() })
             .expect("build");
     let v1 = LoadSpec { sessions: 3, questions: 3, scenarios: vec![], repeat_period: 0 };
-    let a = run_load_driver(&multi, v1.clone());
-    let b = run_load_driver(&plain, v1);
+    let a = drive(&multi, v1.clone());
+    let b = drive(&plain, v1);
     for (ra, rb) in a.responses.iter().flatten().zip(b.responses.iter().flatten()) {
         assert_eq!(ra.answer, rb.answer, "v1 answers must not see the extra machines");
         assert_eq!(ra.verdict, rb.verdict);
@@ -152,10 +170,11 @@ fn prefetcher_pinned_session_is_byte_identical_across_worker_counts() {
             ..Default::default()
         };
         let engine = ServeEngine::build(config).expect("build");
-        let open = AskRequest::new("What is the estimated IPC?").with_scenario(pin.clone());
-        let response = engine.ask_round(&[open]).pop().unwrap();
+        let opening = AskRequest::new("What is the estimated IPC?").with_scenario(pin.clone());
+        let line = engine.serve_line(&opening.to_json(), false, "stdin", None).rendered;
+        let response = AskResponse::from_json(&line).expect("ask-shaped response");
         assert!(response.is_ok(), "{threads} workers: {:?}", response.error);
-        outcomes.push((threads, response.to_json(false)));
+        outcomes.push((threads, line));
     }
     let (_, reference) = &outcomes[0];
     for (threads, line) in &outcomes[1..] {
@@ -197,11 +216,12 @@ fn prefetcher_axis_leaves_primary_entries_byte_identical() {
 #[test]
 fn sessions_are_isolated() {
     let engine = engine_with(4, RetrieverKind::Sieve);
-    let a = engine.open_session();
-    let b = engine.open_session();
+    let a = open(&engine);
+    let b = open(&engine);
     let secret = "List all unique PCs in the mcf trace under LRU.";
     let other = "What is the overall miss rate of the lbm workload under LRU?";
-    engine.ask_round(&[AskRequest::in_session(a, secret), AskRequest::in_session(b, other)]);
+    serve(&engine, &AskRequest::in_session(a, secret).to_json());
+    serve(&engine, &AskRequest::in_session(b, other).to_json());
 
     // Session b's memory knows nothing about session a's question.
     let recalled = engine.recall(b, "unique PCs mcf", 3).expect("session exists");
@@ -227,9 +247,8 @@ fn served_answers_cite_ipc_from_trace_metadata() {
     // come back as a numeric answer grounded in that sentence.
     let engine = engine_with(2, RetrieverKind::Ranger);
     let expected = engine.store().get("mcf_evictions_lru").expect("trace exists").ipc;
-    let responses =
-        engine.ask_round(&[AskRequest::new("What is the estimated IPC for mcf under LRU?")]);
-    let response = &responses[0];
+    let response =
+        serve(&engine, &AskRequest::new("What is the estimated IPC for mcf under LRU?").to_json());
     assert_eq!(response.error, None, "request must succeed");
     let verdict = response.verdict.as_deref().expect("verdict present");
     assert!(verdict.starts_with("Number("), "IPC question must ground to a number: {verdict:?}");

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use cachemind_core::system::RetrieverKind;
 use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, LoadSpec};
+use cachemind_serve::load::{run_load_driver, LoadSpec, Transport};
 use cachemind_tracedb::{ScenarioSelector, TraceDatabaseBuilder};
 
 fn temp_snapshot(name: &str) -> PathBuf {
@@ -36,7 +36,8 @@ fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
     let spec = LoadSpec { sessions: 5, questions: 3, scenarios: vec![], repeat_period: 0 };
     let config = ServeConfig { threads: Some(1), shards: 3, ..Default::default() };
     let fresh = ServeEngine::over(db, config.clone());
-    let reference_outcome = run_load_driver(&fresh, spec.clone());
+    let reference_outcome =
+        run_load_driver(&fresh, spec.clone(), Transport::InProcess).expect("in-process drive");
     let reference = reference_outcome.render(&fresh, false);
 
     for threads in [1usize, 2, 8] {
@@ -45,7 +46,8 @@ fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
             ServeConfig { threads: Some(threads), ..config.clone() },
         )
         .expect("snapshot loads");
-        let outcome = run_load_driver(&engine, spec.clone());
+        let outcome =
+            run_load_driver(&engine, spec.clone(), Transport::InProcess).expect("in-process drive");
         assert_eq!(outcome.errors(), 0, "{threads} workers");
         let report = outcome.render(&engine, false);
         assert_eq!(
@@ -84,7 +86,8 @@ fn snapshot_served_v2_driver_matches_fresh_build_across_worker_counts() {
         repeat_period: 0,
     };
     let fresh = ServeEngine::over(db, config.clone());
-    let reference_outcome = run_load_driver(&fresh, spec.clone());
+    let reference_outcome =
+        run_load_driver(&fresh, spec.clone(), Transport::InProcess).expect("in-process drive");
     assert_eq!(reference_outcome.errors(), 0);
     let reference = reference_outcome.render(&fresh, false);
     // The scenario path actually exercised per-machine grounding.
@@ -97,7 +100,8 @@ fn snapshot_served_v2_driver_matches_fresh_build_across_worker_counts() {
             ServeConfig { threads: Some(threads), ..config.clone() },
         )
         .expect("snapshot loads");
-        let outcome = run_load_driver(&engine, spec.clone());
+        let outcome =
+            run_load_driver(&engine, spec.clone(), Transport::InProcess).expect("in-process drive");
         assert_eq!(outcome.errors(), 0, "{threads} workers");
         let report = outcome.render(&engine, false);
         assert_eq!(

@@ -1,7 +1,7 @@
 //! The in-band telemetry contract, pinned end to end:
 //!
 //! * after a load-driver run, the engine's stats counters equal the
-//!   driver's own question/error totals exactly — including the
+//!   driver's own open/question/error totals exactly — including the
 //!   `serve.ask` latency histogram's sample count;
 //! * a `{"stats": true}` line answers in-band with the versioned stats
 //!   object, and never counts itself (the response after driving N
@@ -12,8 +12,7 @@
 //!   metrics on changes no deterministic byte.
 
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, LoadSpec};
-use cachemind_serve::protocol::{AskRequest, Request};
+use cachemind_serve::load::{run_load_driver, LoadOutcome, LoadSpec, Transport};
 use cachemind_tracedb::TraceDatabaseBuilder;
 use serde_json::Value;
 
@@ -24,6 +23,15 @@ fn engine(threads: usize) -> ServeEngine {
         .try_build_sharded()
         .expect("demo build");
     ServeEngine::over(db, config)
+}
+
+fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
+    run_load_driver(engine, spec, Transport::InProcess).expect("in-process drive")
+}
+
+/// Serves one protocol line and returns the rendered response.
+fn line(engine: &ServeEngine, line: &str) -> String {
+    engine.serve_line(line, true, "stdin", None).rendered
 }
 
 fn field<'a>(value: &'a Value, path: &[&str]) -> &'a Value {
@@ -42,14 +50,15 @@ fn count(value: &Value, path: &[&str]) -> u64 {
 fn stats_counters_match_the_load_driver_totals() {
     let engine = engine(4);
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };
-    let outcome = run_load_driver(&engine, spec);
+    let outcome = drive(&engine, spec);
     let driven = (outcome.answered() + outcome.errors()) as u64;
     assert_eq!(driven, 12, "4 sessions x 3 questions");
 
     let stats = engine.stats_value();
     assert_eq!(count(&stats, &["stats_version"]), 2);
     assert_eq!(count(&stats, &["requests", "ask"]), driven, "ask counter == driven questions");
-    assert_eq!(count(&stats, &["requests", "total"]), driven, "nothing else was requested");
+    assert_eq!(count(&stats, &["requests", "open"]), 4, "one open line per session");
+    assert_eq!(count(&stats, &["requests", "total"]), driven + 4, "nothing else was requested");
     assert_eq!(count(&stats, &["errors", "total"]), outcome.errors() as u64);
     assert_eq!(count(&stats, &["sessions", "opened"]), 4);
     assert_eq!(count(&stats, &["sessions", "open"]), 4, "driver leaves its sessions open");
@@ -59,8 +68,8 @@ fn stats_counters_match_the_load_driver_totals() {
     // question, and its per-stage siblings were populated by the drive.
     let ask = field(&stats, &["metrics", "histograms", "serve.ask"]);
     assert_eq!(count(ask, &["count"]), driven, "one ask-latency sample per question");
-    let rounds = field(&stats, &["metrics", "histograms", "serve.round"]);
-    assert_eq!(count(rounds, &["count"]), 3, "one round span per turn");
+    let parse = field(&stats, &["metrics", "histograms", "serve.parse"]);
+    assert_eq!(count(parse, &["count"]), driven + 4, "every open and ask is a parsed line");
     let drive = field(&stats, &["metrics", "histograms", "serve.load_drive"]);
     assert_eq!(count(drive, &["count"]), 1, "one span for the whole drive");
     assert_eq!(count(&stats, &["metrics", "version"]), 1, "snapshot schema is versioned");
@@ -69,26 +78,24 @@ fn stats_counters_match_the_load_driver_totals() {
 #[test]
 fn stats_requests_answer_in_band_and_never_count_themselves() {
     let engine = engine(2);
-    let response = engine.handle(&AskRequest::new(
-        "What is the overall miss rate of the mcf \
-                                                   workload under LRU?",
-    ));
-    assert!(response.is_ok());
+    let response = line(
+        &engine,
+        "{\"question\": \"What is the overall miss rate of the mcf workload under LRU?\"}",
+    );
+    assert!(!response.contains("\"error\""), "{response}");
 
     // First stats response: 1 ask, 0 stats — the read does not count
     // itself.
-    let first = engine.handle_request(&Request::Stats);
-    let first = match first {
-        cachemind_serve::protocol::Response::Stats(value) => value,
-        other => panic!("stats must answer with a stats object, got {other:?}"),
-    };
+    let first = serde_json::from_str(&line(&engine, "{\"stats\": true}"))
+        .expect("stats lines are valid JSON");
+    assert_eq!(count(&first, &["stats_version"]), 2, "a stats object, not an ask shape");
     assert_eq!(count(&first, &["requests", "ask"]), 1);
     assert_eq!(count(&first, &["requests", "stats"]), 0, "the response never counts itself");
     assert_eq!(count(&first, &["requests", "total"]), 1);
 
     // Second stats response sees the first one.
-    let line = engine.handle_line("{\"stats\": true}", true);
-    let second = serde_json::from_str(&line).expect("stats lines are valid JSON");
+    let second = serde_json::from_str(&line(&engine, "{\"stats\": true}"))
+        .expect("stats lines are valid JSON");
     assert_eq!(count(&second, &["requests", "stats"]), 1);
     assert_eq!(count(&second, &["requests", "total"]), 2);
 }
@@ -98,12 +105,12 @@ fn protocol_failures_land_in_per_kind_error_counters() {
     let engine = engine(2);
     // One malformed line, one structurally-bad request, two unknown
     // sessions through different paths.
-    let garbage = engine.handle_line("this is not json", true);
+    let garbage = line(&engine, "this is not json");
     assert!(garbage.contains("\"error\""), "{garbage}");
-    let bad = engine.handle_line("{\"stats\": false}", true);
+    let bad = line(&engine, "{\"stats\": false}");
     assert!(bad.contains("\"error\""), "{bad}");
-    let _ = engine.handle_line("{\"question\": \"hi\", \"session\": 999}", true);
-    let _ = engine.handle_line("{\"close\": true, \"session\": 998}", true);
+    let _ = line(&engine, "{\"question\": \"hi\", \"session\": 999}");
+    let _ = line(&engine, "{\"close\": true, \"session\": 998}");
 
     let stats = engine.stats_value();
     assert_eq!(count(&stats, &["errors", "by_kind", "invalid_json"]), 1);
@@ -124,12 +131,12 @@ fn metrics_never_perturb_the_deterministic_report() {
     // deterministic reports: telemetry is a wall-clock side channel only.
     let spec = LoadSpec { sessions: 3, questions: 2, scenarios: vec![], repeat_period: 0 };
     let quiet = engine(2);
-    let quiet_outcome = run_load_driver(&quiet, spec.clone());
+    let quiet_outcome = drive(&quiet, spec.clone());
 
     let noisy = engine(2);
-    let _ = noisy.handle_line("not json at all", true);
-    let _ = noisy.handle_line("{\"stats\": true}", true);
-    let noisy_outcome = run_load_driver(&noisy, spec);
+    let _ = line(&noisy, "not json at all");
+    let _ = line(&noisy, "{\"stats\": true}");
+    let noisy_outcome = drive(&noisy, spec);
     // The warm-up asked nothing, so both drives see identical session ids
     // and identical questions.
     assert_eq!(

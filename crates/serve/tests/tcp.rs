@@ -2,12 +2,16 @@
 //! TCP smoke:
 //!
 //! * a snapshot-started server answers the socket-mode load driver
-//!   byte-identically to the in-process stdin driver, for any worker
-//!   count (`answers_fnv64` and the whole deterministic report agree);
+//!   byte-identically to the in-process driver, for any worker count
+//!   (`answers_fnv64` and the whole deterministic report agree);
 //! * the full v1/v2 protocol (open / ask / stats / close) works over a
 //!   raw socket, malformed lines answer in-band without tearing the
 //!   connection down, and stats responses carry their transport and
 //!   connection context;
+//! * framing is independent of how the bytes arrive (a line written one
+//!   byte at a time answers exactly like one written whole), and an
+//!   over-deep line answers `invalid_json` while the server keeps
+//!   serving everyone;
 //! * admission control answers `overloaded` in-band — a full connection
 //!   table refuses new sockets with a protocol line, a full work queue
 //!   refuses lines without dropping any, and both recover cleanly;
@@ -16,7 +20,7 @@
 //! * per-connection sessions are reaped on disconnect under
 //!   `--session-scope conn` and survive it under `global`;
 //! * after identical drives, the server's in-band stats equal the
-//!   stdin engine's — one registry, whatever the transport.
+//!   in-process engine's — one registry, whatever the transport.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, run_load_driver_tcp, LoadSpec};
+use cachemind_serve::load::{run_load_driver, LoadSpec, Transport};
 use cachemind_serve::net::{self, NetConfig, SessionScope, TcpServer};
 use cachemind_tracedb::TraceDatabaseBuilder;
 use serde_json::Value;
@@ -135,7 +139,8 @@ fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };
     let config = ServeConfig { threads: Some(1), shards: 3, ..Default::default() };
     let local = ServeEngine::from_snapshot(&path, config.clone()).expect("snapshot loads");
-    let reference_outcome = run_load_driver(&local, spec.clone());
+    let reference_outcome =
+        run_load_driver(&local, spec.clone(), Transport::InProcess).expect("in-process drive");
     assert_eq!(reference_outcome.errors(), 0);
     let reference = reference_outcome.render(&local, false);
 
@@ -147,8 +152,8 @@ fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
         .expect("snapshot loads");
         let server = TcpServer::start(Arc::new(served), "127.0.0.1:0", NetConfig::default())
             .expect("bind ephemeral");
-        let outcome =
-            run_load_driver_tcp(&local, spec.clone(), server.local_addr()).expect("tcp drive");
+        let outcome = run_load_driver(&local, spec.clone(), Transport::Tcp(server.local_addr()))
+            .expect("tcp drive");
         assert_eq!(outcome.errors(), 0, "{threads} workers");
         let report = outcome.render(&local, false);
         assert_eq!(
@@ -351,46 +356,89 @@ fn conn_scope_reaps_sessions_and_global_scope_keeps_them() {
 #[test]
 fn tcp_and_stdin_drives_land_in_the_same_stats_registry() {
     // Identical drives, one per transport; global scope so no reaper
-    // skews the session gauges. The request/error/session stats must
-    // agree exactly — it is one engine registry either way.
+    // skews the session gauges. Both drivers open their sessions and ask
+    // their questions with the same protocol lines, so the request,
+    // error and session stats must agree exactly — it is one engine
+    // registry either way.
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };
 
     let stdin_engine = engine(2);
-    let stdin_outcome = run_load_driver(&stdin_engine, spec.clone());
+    let stdin_outcome =
+        run_load_driver(&stdin_engine, spec.clone(), Transport::InProcess).expect("drive");
     assert_eq!(stdin_outcome.errors(), 0);
     let stdin_stats = stdin_engine.stats_value();
 
     let server =
         start_server(2, NetConfig { session_scope: SessionScope::Global, ..NetConfig::default() });
     let driver = engine(2);
-    let tcp_outcome = run_load_driver_tcp(&driver, spec, server.local_addr()).expect("tcp drive");
+    let tcp_outcome =
+        run_load_driver(&driver, spec, Transport::Tcp(server.local_addr())).expect("tcp drive");
     assert_eq!(tcp_outcome.errors(), 0);
 
     // Read the server's stats the way any client would: in-band over the
     // socket. The response reflects the drive and never counts itself.
     let mut client = Client::connect(server.local_addr());
     let tcp_stats = client.round_trip("{\"stats\": true}");
-    for section in ["errors", "sessions"] {
+    for section in ["requests", "errors", "sessions"] {
         assert_eq!(
             field(&tcp_stats, &[section]),
             field(&stdin_stats, &[section]),
             "the {section} stats diverged between transports"
         );
     }
-    // The one legitimate request-mix difference: the socket driver opens
-    // its sessions with explicit protocol requests, the in-process one
-    // through the engine API. Asks agree exactly; opens match the
-    // sessions opened.
-    assert_eq!(
-        count(&tcp_stats, &["requests", "ask"]),
-        count(&stdin_stats, &["requests", "ask"]),
-        "ask counts diverged between transports"
-    );
-    assert_eq!(
-        count(&tcp_stats, &["requests", "open"]),
-        count(&tcp_stats, &["sessions", "opened"]),
-        "one open request per opened session"
-    );
+    assert_eq!(count(&tcp_stats, &["requests", "open"]), 4, "one open line per session");
     assert_eq!(text(&tcp_stats, &["transport"]), "tcp");
+    server.shutdown();
+}
+
+#[test]
+fn one_byte_writes_frame_exactly_like_a_whole_line() {
+    let line = format!("{{\"question\": \"{QUESTION}\"}}\n");
+    // Responses over TCP carry wall-clock `micros`; drop it to compare.
+    let deterministic = |mut response: Value| {
+        if let Value::Object(map) = &mut response {
+            map.remove("micros");
+        }
+        response
+    };
+
+    let whole_server = start_server(1, NetConfig::default());
+    let mut whole = Client::connect(whole_server.local_addr());
+    whole.writer.write_all(line.as_bytes()).expect("write line");
+    let expected = deterministic(whole.recv());
+    assert!(is_ok(&expected), "{expected:?}");
+    whole_server.shutdown();
+
+    // A fresh server, so session ids and turns line up; the same line
+    // arrives in one-byte segments.
+    let dribble_server = start_server(1, NetConfig::default());
+    let mut dribble = Client::connect(dribble_server.local_addr());
+    dribble.writer.set_nodelay(true).expect("nodelay");
+    for byte in line.as_bytes() {
+        dribble.writer.write_all(std::slice::from_ref(byte)).expect("write byte");
+        dribble.writer.flush().expect("flush byte");
+    }
+    assert_eq!(deterministic(dribble.recv()), expected, "framing depends on write sizes");
+    dribble_server.shutdown();
+}
+
+#[test]
+fn over_deep_lines_answer_invalid_json_and_the_server_keeps_serving() {
+    let server = start_server(2, NetConfig::default());
+    let mut bystander = Client::connect(server.local_addr());
+    let opened = bystander.round_trip("{\"open\": true}");
+    let session = count(&opened, &["session"]);
+
+    // 200k opening brackets, then 200k closing ones: without a parser
+    // depth bound this overflows a worker's stack and aborts the process.
+    let mut hostile = Client::connect(server.local_addr());
+    let crash = "[".repeat(200_000) + &"]".repeat(200_000);
+    let response = hostile.round_trip(&crash);
+    assert_eq!(text(&response, &["error_kind"]), "invalid_json", "{response:?}");
+
+    // Both connections keep working.
+    assert!(is_ok(&hostile.round_trip("{\"open\": true}")));
+    let answer = bystander.ask(session);
+    assert!(is_ok(&answer), "the other client is still served: {answer:?}");
     server.shutdown();
 }

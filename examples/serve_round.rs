@@ -1,13 +1,21 @@
 //! Minimal serving-subsystem tour: build a sharded database, open two chat
-//! sessions, answer one batched round, and print the transcripts.
+//! sessions with protocol lines, ask each a question, and print the
+//! transcripts.
 //!
 //! ```sh
 //! cargo run --release --example serve_round
 //! ```
 
 use cachemind_suite::serve::engine::{ServeConfig, ServeEngine};
-use cachemind_suite::serve::protocol::AskRequest;
+use cachemind_suite::serve::protocol::{AskRequest, AskResponse};
 use cachemind_suite::tracedb::{TraceDatabaseBuilder, TraceStore};
+
+/// Serves one protocol line, the way stdin and TCP clients reach the
+/// engine, and parses the response line.
+fn serve(engine: &ServeEngine, line: &str) -> AskResponse {
+    let outcome = engine.serve_line(line, false, "stdin", None);
+    AskResponse::from_json(&outcome.rendered).expect("ask-shaped response")
+}
 
 fn main() {
     let db = TraceDatabaseBuilder::quick_demo()
@@ -17,10 +25,10 @@ fn main() {
     println!("sharded database: {} traces across {} shards", db.len(), db.num_shards());
 
     let engine = ServeEngine::over(db, ServeConfig { threads: Some(2), ..Default::default() });
-    let alice = engine.open_session();
-    let bob = engine.open_session();
+    let alice = serve(&engine, "{\"open\": true}").session;
+    let bob = serve(&engine, "{\"open\": true}").session;
 
-    let round = vec![
+    let requests = [
         AskRequest::in_session(
             alice,
             "What is the overall miss rate of the mcf workload under LRU?",
@@ -28,7 +36,8 @@ fn main() {
         AskRequest::in_session(bob, "Which policy has the lowest miss rate in astar?"),
         AskRequest::in_session(alice, "List all unique PCs in the mcf trace under LRU."),
     ];
-    for response in engine.ask_round(&round) {
+    for request in &requests {
+        let response = serve(&engine, &request.to_json());
         println!("\nsession {} turn {}:", response.session, response.turn);
         println!("  {}", response.answer.as_deref().unwrap_or("<error>"));
     }

@@ -173,9 +173,10 @@ impl Value {
 /// crate (the shim version is monomorphic over `Value` instead of generic
 /// over `Deserialize`). Accepts the standard JSON grammar: objects, arrays,
 /// strings with escapes (`\" \\ \/ \b \f \n \r \t \uXXXX`), numbers,
-/// booleans and `null`; trailing non-whitespace is an error.
+/// booleans and `null`; trailing non-whitespace is an error, and so is
+/// array/object nesting deeper than [`MAX_DEPTH`].
 pub fn from_str(input: &str) -> Result<Value, Error> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
@@ -185,9 +186,16 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
     Ok(value)
 }
 
+/// The deepest array/object nesting [`from_str`] accepts (the real
+/// crate's default recursion limit). The parser recurses once per level,
+/// so without a bound one hostile line of brackets overflows the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -216,8 +224,18 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -531,6 +549,22 @@ mod tests {
         assert_eq!(v.get("a").and_then(Value::as_str), Some("xA\t"));
         assert_eq!(v.get("b").and_then(Value::as_array).map(Vec::len), Some(2));
         assert_eq!(v.get("b").unwrap().as_array().unwrap()[1].as_f64(), Some(25.0));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok(), "depth {MAX_DEPTH} parses");
+        let err = from_str(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // Objects count toward the same limit.
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(from_str(&objects).is_ok());
+        let deeper = "[".to_owned() + &objects + "]";
+        assert!(from_str(&deeper).is_err());
+        // A line far past the limit fails cleanly instead of overflowing
+        // the stack.
+        assert!(from_str(&nested(200_000)).is_err());
     }
 
     #[test]
