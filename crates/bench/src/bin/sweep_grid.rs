@@ -1,22 +1,20 @@
 //! Parallel scenario sweep driver: workload × machine × prefetcher ×
 //! policy.
 //!
-//! Replays every requested workload under every requested policy using the
-//! rayon-parallel sweep engine, then prints the canonical report. The
-//! output is byte-identical for any `RAYON_NUM_THREADS` setting —
-//! determinism across thread counts is part of the sweep engine's contract.
+//! Replays every requested workload under every requested policy through
+//! [`cachemind_sim::sweep::ScenarioGrid`], then prints the canonical
+//! report: the miss taxonomy plus prefetch accuracy/coverage and
+//! model-estimated IPC per cell, with per-axis roll-ups. The output is
+//! byte-identical for any `RAYON_NUM_THREADS` setting — determinism across
+//! thread counts is part of the sweep engine's contract.
 //!
-//! Two modes:
+//! The machine axis:
 //!
-//! * **Legacy geometry mode** (default): sweeps the LLC geometries of the
-//!   original `SweepGrid` — `(workload × LLC CacheConfig × policy)` — and
-//!   prints the legacy report, so existing CI diffs stay stable.
-//! * **Scenario mode** (any of `--machines`, `--prefetchers`,
-//!   `--dram-latency` present): sweeps full
-//!   `(workload × machine × prefetcher × policy)` scenario cells through
-//!   [`cachemind_sim::sweep::ScenarioGrid`], reporting the miss taxonomy
-//!   plus prefetch accuracy/coverage and model-estimated IPC with per-axis
-//!   roll-ups.
+//! * with none of `--machines`, `--prefetchers`, `--dram-latency`: three
+//!   LLC-only machines — the paper's LLC geometry plus half-capacity and
+//!   half-associativity variants;
+//! * with any of them: the named presets (default `table2`), one machine
+//!   per `--dram-latency` value.
 //!
 //! Environment:
 //!
@@ -44,7 +42,7 @@
 
 use cachemind_sim::config::{CacheConfig, MachineConfig};
 use cachemind_sim::prefetch::PrefetcherKind;
-use cachemind_sim::sweep::{config_label, ScenarioGrid, SweepGrid, SweepStream};
+use cachemind_sim::sweep::{ScenarioGrid, SweepStream};
 use cachemind_workloads::workload::Scale;
 
 /// The default policy set: online baselines, modern RRIP-family policies,
@@ -55,19 +53,44 @@ const DEFAULT_POLICIES: [&str; 5] = ["lru", "srrip", "ship", "mockingjay", "bela
 /// pointer-chasing microbenchmark.
 const DEFAULT_WORKLOADS: [&str; 4] = ["astar", "lbm", "mcf", "ptrchase"];
 
-/// LLC geometries swept in legacy mode: the paper's LLC plus half-capacity
-/// and half-associativity variants (scaled down one notch at tiny scale so
-/// the sweep still exercises capacity pressure).
-fn default_configs(scale: Scale) -> Vec<CacheConfig> {
+/// The LLC-only machines swept when no scenario flag is given: the
+/// paper's LLC plus half-capacity and half-associativity variants (scaled
+/// down one notch at tiny scale so the sweep still exercises capacity
+/// pressure).
+fn default_machines(scale: Scale) -> Vec<MachineConfig> {
     let shrink = match scale {
         Scale::Tiny => 3,
         _ => 0,
     };
-    vec![
-        CacheConfig::new("LLC", 11 - shrink, 16, 6).with_latency(26).with_mshr(64),
-        CacheConfig::new("LLC-half", 10 - shrink, 16, 6).with_latency(26).with_mshr(64),
-        CacheConfig::new("LLC-8way", 11 - shrink, 8, 6).with_latency(26).with_mshr(64),
-    ]
+    [("LLC", 11 - shrink, 16), ("LLC-half", 10 - shrink, 16), ("LLC-8way", 11 - shrink, 8)]
+        .into_iter()
+        .map(|(name, sets_log2, ways)| {
+            let llc = CacheConfig::new(name, sets_log2, ways, 6).with_latency(26).with_mshr(64);
+            MachineConfig::llc_only(llc)
+        })
+        .collect()
+}
+
+/// The named presets, one machine per `--dram-latency` value when given.
+fn preset_machines(machines_arg: Option<String>, dram_arg: Option<&str>) -> Vec<MachineConfig> {
+    let mut machines = Vec::new();
+    for name in parse_list(machines_arg, &["table2"]) {
+        let base = MachineConfig::preset(&name).unwrap_or_else(|| {
+            fail(format!("unknown machine preset {name:?} (try table2, small)"))
+        });
+        match dram_arg {
+            None => machines.push(base),
+            Some(list) => {
+                for token in list.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+                    let cycles: u64 = token
+                        .parse()
+                        .unwrap_or_else(|_| fail(format!("bad --dram-latency value {token:?}")));
+                    machines.push(base.clone().with_dram_latency(cycles));
+                }
+            }
+        }
+    }
+    machines
 }
 
 fn parse_list(arg: Option<String>, default: &[&str]) -> Vec<String> {
@@ -89,7 +112,6 @@ fn fail(message: String) -> ! {
 /// field (wall clock, throughput, worker count) is zeroed so the record is
 /// byte-identical for any `RAYON_NUM_THREADS`.
 fn bench_record(
-    mode: &str,
     cells: usize,
     threads: usize,
     scale: Scale,
@@ -117,7 +139,7 @@ fn bench_record(
         None => (0.0, 0.0),
     };
     format!(
-        "{{\n  \"bench\": \"sweep\",\n  \"version\": 1,\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"bench\": \"sweep\",\n  \"version\": 1,\n  \"mode\": \"scenario\",\n  \
          \"scale\": \"{scale:?}\",\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \
          \"wall_ms\": {wall_ms:.3},\n  \"prepare_ms\": {prepare_ms:.3},\n  \
          \"replay_ms\": {replay_ms:.3},\n  \"cells_per_sec\": {cells_per_sec:.1}\n}}"
@@ -165,110 +187,56 @@ fn main() {
     let workload_names = parse_list(workloads_arg, &DEFAULT_WORKLOADS);
     let scenario_mode = machines_arg.is_some() || prefetchers_arg.is_some() || dram_arg.is_some();
 
-    let mut streams = Vec::new();
-    for name in &workload_names {
-        let workload = match cachemind_workloads::by_name(name, scale) {
-            Some(w) => w,
-            None => fail(format!("unknown workload {name:?}")),
-        };
-        streams.push(
-            SweepStream::new(workload.name.clone(), workload.accesses)
-                .with_instr_count(workload.instr_count),
-        );
-    }
+    let streams: Vec<SweepStream> = workload_names
+        .iter()
+        .map(|name| {
+            let workload = cachemind_workloads::by_name(name, scale)
+                .unwrap_or_else(|| fail(format!("unknown workload {name:?}")));
+            SweepStream::new(workload.name, workload.accesses)
+                .with_instr_count(workload.instr_count)
+        })
+        .collect();
+
+    let machines = if scenario_mode {
+        preset_machines(machines_arg, dram_arg.as_deref())
+    } else {
+        default_machines(scale)
+    };
+    let prefetchers: Vec<PrefetcherKind> = parse_list(prefetchers_arg, &["none"])
+        .iter()
+        .map(|name| {
+            PrefetcherKind::parse(name).unwrap_or_else(|| {
+                fail(format!("unknown prefetcher {name:?} (try none, nextline, stride, stride<N>)"))
+            })
+        })
+        .collect();
 
     let threads = rayon::current_num_threads();
     let started = std::time::Instant::now();
-    let (mode, cells, rendered) = if scenario_mode {
-        // Machine axis: named presets × DRAM latency variants.
-        let machine_names = parse_list(machines_arg, &["table2"]);
-        let mut machines = Vec::new();
-        for name in &machine_names {
-            let base = match MachineConfig::preset(name) {
-                Some(m) => m,
-                None => fail(format!("unknown machine preset {name:?} (try table2, small)")),
-            };
-            match &dram_arg {
-                None => machines.push(base),
-                Some(list) => {
-                    for token in list.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-                        let cycles: u64 = match token.parse() {
-                            Ok(c) => c,
-                            Err(_) => fail(format!("bad --dram-latency value {token:?}")),
-                        };
-                        machines.push(base.clone().with_dram_latency(cycles));
-                    }
-                }
-            }
-        }
-        let mut prefetchers = Vec::new();
-        for name in parse_list(prefetchers_arg, &["none"]) {
-            match PrefetcherKind::parse(&name) {
-                Some(kind) => prefetchers.push(kind),
-                None => fail(format!(
-                    "unknown prefetcher {name:?} (try none, nextline, stride, stride<N>)"
-                )),
-            }
-        }
-
-        let grid = ScenarioGrid { policies, streams, machines, prefetchers, mlp_override: None };
-        eprintln!(
-            "[sweep_grid] {} policies x {} workloads x {} machines x {} prefetchers = {} cells \
-             at {:?} scale on {} worker(s)",
-            grid.policies.len(),
-            grid.streams.len(),
-            grid.machines.len(),
-            grid.prefetchers.len(),
-            grid.cells(),
-            scale,
-            threads,
-        );
-        for machine in &grid.machines {
-            eprintln!("[sweep_grid]   machine {}", machine.machine_label());
-        }
-        let report = match grid.run(cachemind_policies::by_name) {
-            Ok(report) => report,
-            Err(err) => fail(err.to_string()),
-        };
-        let rendered = if json {
-            serde_json::to_string_pretty(&report).expect("report serializes")
-        } else {
-            report.to_table()
-        };
-        ("scenario", report.cells.len(), rendered)
+    let grid = ScenarioGrid { policies, streams, machines, prefetchers, mlp_override: None };
+    eprintln!(
+        "[sweep_grid] {} policies x {} workloads x {} machines x {} prefetchers = {} cells \
+         at {:?} scale on {} worker(s)",
+        grid.policies.len(),
+        grid.streams.len(),
+        grid.machines.len(),
+        grid.prefetchers.len(),
+        grid.cells(),
+        scale,
+        threads,
+    );
+    for machine in &grid.machines {
+        eprintln!("[sweep_grid]   machine {}", machine.machine_label());
+    }
+    let report = match grid.run(cachemind_policies::by_name) {
+        Ok(report) => report,
+        Err(err) => fail(err.to_string()),
+    };
+    let cells = report.cells.len();
+    let rendered = if json {
+        serde_json::to_string_pretty(&report).expect("report serializes")
     } else {
-        let mut grid = SweepGrid::default();
-        grid.policies = policies;
-        grid.streams = streams;
-        grid.configs = default_configs(scale);
-        eprintln!(
-            "[sweep_grid] {} policies x {} workloads x {} configs = {} cells at {:?} scale on {} worker(s)",
-            grid.policies.len(),
-            grid.streams.len(),
-            grid.configs.len(),
-            grid.cells(),
-            scale,
-            threads,
-        );
-        for cfg in &grid.configs {
-            eprintln!(
-                "[sweep_grid]   config {}: {} KB, {} sets, {} ways",
-                config_label(cfg),
-                cfg.capacity_bytes() / 1024,
-                cfg.sets(),
-                cfg.ways,
-            );
-        }
-        let report = match grid.run(cachemind_policies::by_name) {
-            Ok(report) => report,
-            Err(err) => fail(err.to_string()),
-        };
-        let rendered = if json {
-            serde_json::to_string_pretty(&report).expect("report serializes")
-        } else {
-            report.to_table()
-        };
-        ("llc", report.cells.len(), rendered)
+        report.to_table()
     };
     let wall = started.elapsed();
     eprintln!("[sweep_grid] swept {cells} cells in {wall:?}");
@@ -281,7 +249,7 @@ fn main() {
 
     if let Some(path) = bench_json {
         let timing = if no_timing { None } else { Some(wall) };
-        let record = bench_record(mode, cells, if no_timing { 0 } else { threads }, scale, timing);
+        let record = bench_record(cells, if no_timing { 0 } else { threads }, scale, timing);
         if let Err(err) = std::fs::write(&path, format!("{record}\n")) {
             fail(format!("cannot write {path}: {err}"));
         }

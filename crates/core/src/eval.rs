@@ -4,7 +4,7 @@
 //! Every builder that evaluates several independent configurations
 //! (backends, shot counts, retrievers) spreads them across cores with
 //! [`cachemind_sim::sweep::sweep_cells`] — the same order-preserving
-//! parallel primitive behind `SweepGrid` — so the figure binaries stop
+//! parallel primitive behind `ScenarioGrid` — so the figure binaries stop
 //! replaying configurations serially while their outputs stay
 //! byte-identical for any thread count.
 

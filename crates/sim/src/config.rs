@@ -242,8 +242,8 @@ impl HierarchyConfig {
 /// mode. In the default *full-machine* mode a scenario cell simulates the
 /// whole hierarchy and reports [`IpcModel`](crate::timing::IpcModel)-derived
 /// IPC; in *LLC-only* mode the access stream is replayed directly against
-/// the LLC geometry — the original `SweepGrid` behaviour, kept so the old
-/// grid can be expressed as a thin adapter over the scenario grid.
+/// the LLC geometry — bare geometry sweeps, and the trace database's
+/// primary machine.
 ///
 /// ```rust
 /// use cachemind_sim::config::{HierarchyConfig, MachineConfig};
@@ -260,7 +260,7 @@ pub struct MachineConfig {
     /// The composed core + cache + DRAM parameters.
     pub hierarchy: HierarchyConfig,
     /// When set, scenario cells skip the L1/L2 filter and replay the stream
-    /// directly against `hierarchy.llc` (the legacy `SweepGrid` mode).
+    /// directly against `hierarchy.llc` (see [`MachineConfig::llc_only`]).
     pub llc_only: bool,
 }
 
@@ -271,8 +271,9 @@ impl MachineConfig {
     }
 
     /// Wraps a bare LLC geometry as an LLC-only machine (Table-2 core and
-    /// DRAM defaults around it). Its label is the legacy config label
-    /// (`name@<sets>x<ways>`), so `SweepGrid` reports convert losslessly.
+    /// DRAM defaults around it), labelled `name@<sets>x<ways>`. This is the
+    /// trace database's primary machine — the one whose traces keep
+    /// unqualified keys — and the machine axis of bare LLC-geometry sweeps.
     pub fn llc_only(llc: CacheConfig) -> Self {
         let name = llc.name.clone();
         let hierarchy = HierarchyConfig { llc, ..HierarchyConfig::default() };
@@ -287,7 +288,7 @@ impl MachineConfig {
     }
 
     /// Canonical label: `name@llc<sets>x<ways>+dram<latency>` for a full
-    /// machine, the legacy `name@<sets>x<ways>` config label when LLC-only.
+    /// machine, `name@<sets>x<ways>` when LLC-only.
     pub fn machine_label(&self) -> String {
         let llc = &self.hierarchy.llc;
         if self.llc_only {

@@ -1,62 +1,51 @@
 //! Parallel scenario sweeps: workload × machine × prefetcher × policy.
 //!
-//! The figure-generation binaries and the paper's use cases (§6.3) share
-//! the same shape of work: replay every workload under every replacement
-//! policy for one or more machine configurations, then tabulate hit rates,
-//! the miss taxonomy, prefetch usefulness and IPC. Done serially that is
-//! `|workloads| × |machines| × |prefetchers| × |policies|` independent full
-//! replays — exactly the embarrassingly-parallel rollout a sweep engine
-//! should spread across cores.
-//!
-//! Two grids are exposed:
-//!
-//! * [`ScenarioGrid`] — the first-class engine. Each cell transforms the
-//!   workload stream through a [`Prefetcher`], replays it on a
-//!   [`MachineConfig`] (full hierarchy, or LLC-only for legacy geometry
-//!   sweeps), and reduces to a [`ScenarioCell`] carrying the miss taxonomy,
-//!   prefetch accuracy/coverage and [`IpcModel`]-derived IPC.
-//! * [`SweepGrid`] — the original `(workload × LLC CacheConfig × policy)`
-//!   grid, kept as a thin adapter over [`ScenarioGrid`]: every config
-//!   becomes an LLC-only machine with the `none` prefetcher, and the
-//!   scenario cells convert losslessly back into [`SweepCell`]s.
-//!
-//! [`ScenarioGrid::run`] parallelises with rayon in two stages:
+//! The figure binaries, the paper's use cases (§6.3) and the trace-database
+//! build all replay every workload under every policy for several machines
+//! and prefetchers: `|workloads| × |machines| × |prefetchers| × |policies|`
+//! independent replays. [`ScenarioGrid`] is the one engine that stages that
+//! grid, on a [`MachineConfig`] each — the full hierarchy, or LLC-only for
+//! bare geometry sweeps and the trace database's primary machine — in two
+//! rayon stages:
 //!
 //! 1. one task per `(workload, machine, prefetcher)` triple transforms the
-//!    stream, runs the hierarchy filter (full-machine mode) and builds the
-//!    [`LlcReplay`] (stream copy + reuse oracle) exactly once; the
-//!    [`PreparedScenario`] is held behind an [`Arc`] and shared by every
-//!    policy replaying the triple;
-//! 2. one task per `(triple, policy)` cell runs the record-free
-//!    [`LlcReplay::run_summary`] fast path and reduces it to a
-//!    [`ScenarioCell`] — the summary carries the identical counters the
-//!    full record-emitting replay would produce.
+//!    stream through a [`Prefetcher`], runs the hierarchy filter
+//!    (full-machine mode) and builds the [`LlcReplay`] (stream copy + reuse
+//!    oracle) exactly once, as a [`PreparedScenario`] every policy shares;
+//! 2. one task per `(triple, policy)` cell hands the prepared scenario and
+//!    a fresh policy to a per-cell closure ([`ScenarioGrid::run_cells`]).
+//!
+//! [`ScenarioGrid::run`] is that entry with a closure that runs the
+//! record-free [`LlcReplay::run_summary`] fast path and reduces it to a
+//! [`ScenarioCell`] (miss taxonomy, prefetch accuracy/coverage,
+//! [`IpcModel`]-derived IPC); the trace-database builder keeps each cell's
+//! records instead. Both derive the prefetch and IPC columns through
+//! [`PreparedScenario::cell_metrics`].
 //!
 //! **Determinism is a contract, not an accident.** Each cell's result
-//! depends only on its own inputs, and the engine aggregates by collecting
-//! keyed cells and sorting them by `(workload, machine, prefetcher,
-//! policy)` before any reduction, so the report is byte-identical no matter
-//! how many worker threads ran the grid or in what order cells finished.
-//! The `sweep_determinism` integration test pins this down by diffing the
-//! rendered reports across `RAYON_NUM_THREADS` settings.
+//! depends only on its own inputs, results come back in the grid's index
+//! order, and [`ScenarioGrid::run`] sorts its cells by `(workload, machine,
+//! prefetcher, policy)` before any reduction, so the report is
+//! byte-identical whatever the worker count or finishing order. The
+//! `sweep_determinism` integration test diffs the rendered reports across
+//! `RAYON_NUM_THREADS` settings.
 //!
 //! The engine lives in `cachemind-sim` and therefore cannot name concrete
 //! policies from `cachemind-policies`; callers supply a policy *factory*
-//! (for example `cachemind_policies::by_name`) which the driver binary in
-//! `cachemind-bench` wires up.
+//! (for example `cachemind_policies::by_name`).
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::access::{AccessKind, MemoryAccess};
-use crate::config::{CacheConfig, MachineConfig};
+use crate::config::MachineConfig;
 use crate::hierarchy::CacheHierarchy;
 use crate::prefetch::{Prefetcher, PrefetcherKind};
 use crate::replacement::ReplacementPolicy;
 use crate::replay::{EvictionRecord, LlcReplay};
+use crate::stats::CacheStats;
 use crate::timing::IpcModel;
 
 /// A named access stream to sweep over (typically one workload's demand
@@ -88,85 +77,8 @@ impl SweepStream {
     }
 }
 
-/// The legacy grid specification: every policy replays every stream under
-/// every LLC configuration. A thin adapter over [`ScenarioGrid`].
-#[derive(Debug, Clone, Default)]
-pub struct SweepGrid {
-    /// Policy names, resolved through the caller's factory.
-    pub policies: Vec<String>,
-    /// Workload streams.
-    pub streams: Vec<SweepStream>,
-    /// LLC geometries.
-    pub configs: Vec<CacheConfig>,
-}
-
-/// One `(workload, config, policy)` cell of the legacy grid, reduced to
-/// its aggregate counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepCell {
-    /// Workload (stream) name.
-    pub workload: String,
-    /// Configuration label (`name@setsxways`, see [`config_label`]).
-    pub config: String,
-    /// Policy name.
-    pub policy: String,
-    /// Accesses replayed.
-    pub accesses: u64,
-    /// Demand hits.
-    pub hits: u64,
-    /// Demand misses.
-    pub misses: u64,
-    /// Miss rate over the stream.
-    pub miss_rate: f64,
-    /// Compulsory misses.
-    pub compulsory_misses: u64,
-    /// Capacity misses.
-    pub capacity_misses: u64,
-    /// Conflict misses.
-    pub conflict_misses: u64,
-    /// Evictions whose victim was needed sooner than the inserted line.
-    pub wrong_evictions: u64,
-    /// Total evictions.
-    pub evictions: u64,
-}
-
-/// A completed legacy sweep: cells in canonical `(workload, config,
-/// policy)` order plus per-policy roll-ups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepReport {
-    /// Every grid cell, canonically sorted.
-    pub cells: Vec<SweepCell>,
-    /// Per-policy totals across all workloads and configs, sorted by
-    /// policy name.
-    pub policy_totals: Vec<PolicyTotal>,
-}
-
-/// Aggregate counters for one policy across the whole grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PolicyTotal {
-    /// Policy name.
-    pub policy: String,
-    /// Cells aggregated.
-    pub cells: u64,
-    /// Total accesses.
-    pub accesses: u64,
-    /// Total hits.
-    pub hits: u64,
-    /// Total misses.
-    pub misses: u64,
-    /// Miss rate over all aggregated accesses.
-    pub miss_rate: f64,
-    /// Total wrong evictions.
-    pub wrong_evictions: u64,
-}
-
-/// Canonical label for a configuration: `name@<sets>x<ways>`.
-pub fn config_label(config: &CacheConfig) -> String {
-    format!("{}@{}x{}", config.name, config.sets(), config.ways)
-}
-
 /// Order-preserving parallel map over independent sweep configurations —
-/// the primitive behind both [`ScenarioGrid::run`] stages, exposed so the
+/// the primitive behind both [`ScenarioGrid`] stages, exposed so the
 /// figure binaries (`figure5_quality`, `figure6_fewshot`,
 /// `ablation_sweeps`, ...) can spread their per-backend / per-parameter
 /// replays across cores under the same determinism contract: each output
@@ -183,9 +95,8 @@ where
 }
 
 /// The policy-independent half of one scenario cell — stage 1 of the
-/// scenario pipeline, shared by [`ScenarioGrid::run`] and the trace-database
-/// builder: the prepared [`LlcReplay`] (stream copy + reuse oracle) and, for
-/// full machines, the baseline hierarchy counters the
+/// scenario pipeline: the prepared [`LlcReplay`] (stream copy + reuse
+/// oracle) and, for full machines, the baseline hierarchy counters the
 /// [`IpcModel`] reads.
 #[derive(Debug)]
 pub struct PreparedScenario {
@@ -194,6 +105,86 @@ pub struct PreparedScenario {
     /// Baseline hierarchy counters (full-machine mode only), with the
     /// captured LLC stream already drained into the replay.
     pub hierarchy: Option<crate::hierarchy::HierarchyReport>,
+}
+
+/// The derived columns of one replayed cell — prefetch usefulness and the
+/// model-estimated IPC — shared by [`ScenarioCell`] and the trace
+/// database's entries (see [`PreparedScenario::cell_metrics`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellMetrics {
+    /// Demand (load/store/fetch) misses of the replay — what the IPC model
+    /// charges DRAM latency for.
+    pub demand_misses: u64,
+    /// Prefetch accesses that actually filled a line.
+    pub prefetch_fills: u64,
+    /// Demand accesses served from a line a prefetch brought in.
+    pub useful_prefetches: u64,
+    /// `useful_prefetches / prefetch_fills` (0 when nothing was fetched).
+    pub prefetch_accuracy: f64,
+    /// `useful_prefetches / (useful_prefetches + demand_misses)` — the
+    /// fraction of would-be misses the prefetcher covered.
+    pub prefetch_coverage: f64,
+    /// Model-estimated IPC.
+    pub ipc: f64,
+}
+
+impl PreparedScenario {
+    /// Derives the [`CellMetrics`] of one policy's replay of this scenario
+    /// on `machine`, from the replay's counters.
+    ///
+    /// IPC: full machines charge the hierarchy counters; LLC-only machines
+    /// charge demand accesses the LLC hit latency and demand misses DRAM,
+    /// and let prefetches run without stalling the core.
+    ///
+    /// Prefetch usefulness: `llc_prefetches` is `None` for a cell that
+    /// reports no prefetch activity. Otherwise full machines take the
+    /// hierarchy's counters, because a useful prefetch is typically
+    /// consumed by an L1 hit the LLC replay never sees, and LLC-only
+    /// machines call `llc_prefetches` for the replay's own
+    /// `(fills, useful)` count.
+    pub fn cell_metrics(
+        &self,
+        machine: &MachineConfig,
+        stats: &CacheStats,
+        instr_count: u64,
+        mlp_override: Option<f64>,
+        llc_prefetches: Option<impl FnOnce() -> (u64, u64)>,
+    ) -> CellMetrics {
+        let mut model = IpcModel::from_config(&machine.hierarchy);
+        if let Some(mlp) = mlp_override {
+            model = model.with_mlp(mlp);
+        }
+        let demand_misses = stats.demand_misses;
+        let ipc = match &self.hierarchy {
+            Some(hreport) => model.ipc(hreport, demand_misses),
+            None => {
+                let demand_accesses = stats.accesses - stats.prefetches;
+                let demand_hits = demand_accesses.saturating_sub(demand_misses);
+                model.ipc_from_llc(instr_count, demand_hits, demand_misses)
+            }
+        };
+        let (prefetch_fills, useful_prefetches) = match (&self.hierarchy, llc_prefetches) {
+            (_, None) => (0, 0),
+            (Some(hreport), Some(_)) => (hreport.prefetch_fills, hreport.useful_prefetches),
+            (None, Some(llc_prefetches)) => llc_prefetches(),
+        };
+        let prefetch_accuracy = if prefetch_fills == 0 {
+            0.0
+        } else {
+            useful_prefetches as f64 / prefetch_fills as f64
+        };
+        let covered = useful_prefetches + demand_misses;
+        let prefetch_coverage =
+            if covered == 0 { 0.0 } else { useful_prefetches as f64 / covered as f64 };
+        CellMetrics {
+            demand_misses,
+            prefetch_fills,
+            useful_prefetches,
+            prefetch_accuracy,
+            prefetch_coverage,
+            ipc,
+        }
+    }
 }
 
 /// Stage 1a of the scenario pipeline: rewrites a demand stream through a
@@ -237,18 +228,27 @@ pub fn prepare_scenario(
     }
 }
 
-/// One prepared `(stream, machine, prefetcher)` triple — the output of
-/// stage 1. The [`PreparedScenario`] sits behind an [`Arc`] so every
-/// `(triple, policy)` cell of stage 2 shares the one prepared replay
-/// (stream copy, reuse oracle, pre-split sets) instead of re-preparing it.
-struct PreparedTriple {
-    stream: usize,
-    machine: usize,
-    prefetcher: usize,
-    scenario: Arc<PreparedScenario>,
+/// One `(workload, machine, prefetcher, policy)` cell of a running grid,
+/// as [`ScenarioGrid::run_cells`] hands it to the per-cell closure.
+#[derive(Debug, Clone, Copy)]
+pub struct GridCell<'g> {
+    /// The cell's workload stream (before any prefetcher transform).
+    pub stream: &'g SweepStream,
+    /// Position of `stream` in [`ScenarioGrid::streams`].
+    pub stream_index: usize,
+    /// The machine the cell replays on.
+    pub machine: &'g MachineConfig,
+    /// Position of `machine` in [`ScenarioGrid::machines`].
+    pub machine_index: usize,
+    /// The prefetcher that rewrote the stream.
+    pub prefetcher: PrefetcherKind,
+    /// The policy name; the closure receives the policy itself.
+    pub policy: &'g str,
+    /// The triple's stage-1 output, shared by every policy replaying it.
+    pub scenario: &'g PreparedScenario,
 }
 
-/// Errors surfaced by [`ScenarioGrid::run`] and [`SweepGrid::run`].
+/// Errors surfaced by [`ScenarioGrid::run`] and [`ScenarioGrid::run_cells`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
     /// The policy factory returned `None` for a requested policy name.
@@ -534,13 +534,14 @@ impl ScenarioGrid {
     /// prefetcher)` pair once (1a) and prepares each `(stream, machine,
     /// prefetcher)` triple once (1b). Exactly
     /// `streams × machines × prefetchers` prepare tasks run, regardless of
-    /// how many policies will replay each triple.
-    fn prepare_stage(&self) -> Vec<PreparedTriple> {
+    /// how many policies will replay each triple; the result is indexed
+    /// `(s × machines + m) × prefetchers + p`.
+    fn prepare_stage(&self) -> Vec<PreparedScenario> {
         // Stage 1a ([`transform_stream`]): one task per (stream,
         // prefetcher) pair — the transform depends only on those two axes,
         // so every machine replaying the pair shares one transformed stream
-        // instead of rebuilding its own copy. `None` (the whole legacy
-        // adapter path) borrows the original stream rather than cloning it.
+        // instead of rebuilding its own copy. `None` borrows the original
+        // stream rather than cloning it.
         let pairs: Vec<(usize, usize)> = (0..self.streams.len())
             .flat_map(|s| (0..self.prefetchers.len()).map(move |p| (s, p)))
             .collect();
@@ -565,19 +566,25 @@ impl ScenarioGrid {
                     Some(rewritten) => rewritten,
                     None => &stream.accesses,
                 };
-            let scenario = prepare_scenario(&self.machines[m], transformed, stream.instr_count);
-            PreparedTriple { stream: s, machine: m, prefetcher: p, scenario: Arc::new(scenario) }
+            prepare_scenario(&self.machines[m], transformed, stream.instr_count)
         })
     }
 
-    /// Runs the full grid in parallel.
+    /// Runs the grid in parallel and maps every cell through `cell`.
     ///
-    /// `make_policy` is called once per cell, on the worker thread that
-    /// replays the cell, so policies need not be `Send`/`Sync` themselves —
-    /// only the factory must be shareable.
-    pub fn run<F>(&self, make_policy: F) -> Result<ScenarioReport, SweepError>
+    /// Validates the grid, runs stage 1 once per `(stream, machine,
+    /// prefetcher)` triple, then calls `cell` once per `(triple, policy)`
+    /// with the prepared scenario and a fresh policy from `make_policy`.
+    /// `make_policy` and `cell` run on the worker thread that replays the
+    /// cell, so policies need not be `Send`/`Sync` themselves — only the
+    /// factory and the closure must be shareable. Results come back in the
+    /// grid's index order (stream, then machine, prefetcher, policy)
+    /// whatever the worker count.
+    pub fn run_cells<F, C, T>(&self, make_policy: F, cell: C) -> Result<Vec<T>, SweepError>
     where
         F: Fn(&str) -> Option<Box<dyn ReplacementPolicy>> + Sync,
+        C: Fn(GridCell<'_>, Box<dyn ReplacementPolicy>) -> T + Sync,
+        T: Send,
     {
         self.validate(&make_policy)?;
 
@@ -595,81 +602,79 @@ impl ScenarioGrid {
             .add((self.cells() - prepared.len()) as u64);
         let replay_span = cachemind_obs::global().span(cachemind_obs::names::SWEEP_REPLAY);
 
-        // Stage 2: one task per (triple, policy) cell, on the record-free
-        // summary fast path.
+        // Stage 2: one task per (triple, policy) cell.
+        let (machines, prefetchers) = (self.machines.len(), self.prefetchers.len());
         let cell_inputs: Vec<(usize, usize)> = (0..prepared.len())
             .flat_map(|t| (0..self.policies.len()).map(move |p| (t, p)))
             .collect();
-        let mut cells: Vec<ScenarioCell> = sweep_cells(cell_inputs, |(t, p)| {
+        let results = sweep_cells(cell_inputs, |(t, p)| {
             let cell_span = cachemind_obs::global().span(cachemind_obs::names::SWEEP_CELL_REPLAY);
-            let triple = &prepared[t];
-            let scenario = Arc::clone(&triple.scenario);
-            let stream = &self.streams[triple.stream];
-            let machine = &self.machines[triple.machine];
-            let policy_name = &self.policies[p];
-            let policy = make_policy(policy_name).expect("policy resolved during validation");
-            let summary = scenario.replay.run_summary(policy);
-            // LLC-only cells take the replay's streaming usefulness
-            // counters (identical to `prefetch_usefulness` over the full
-            // records); full-machine cells take the hierarchy's, because a
-            // useful prefetch is typically consumed by an L1 hit the LLC
-            // replay never sees.
-            let (prefetch_fills, useful_prefetches) = match &scenario.hierarchy {
-                Some(hreport) => (hreport.prefetch_fills, hreport.useful_prefetches),
-                None => (summary.prefetch_fills, summary.useful_prefetches),
+            // Triple `t` is `(s × machines + m) × prefetchers + f`.
+            let (s, m, f) =
+                (t / prefetchers / machines, t / prefetchers % machines, t % prefetchers);
+            let policy = &self.policies[p];
+            let grid_cell = GridCell {
+                stream: &self.streams[s],
+                stream_index: s,
+                machine: &self.machines[m],
+                machine_index: m,
+                prefetcher: self.prefetchers[f],
+                policy,
+                scenario: &prepared[t],
             };
+            let out =
+                cell(grid_cell, make_policy(policy).expect("policy resolved during validation"));
+            cell_span.finish();
+            out
+        });
+        replay_span.finish();
+        Ok(results)
+    }
 
-            let mut model = IpcModel::from_config(&machine.hierarchy);
-            if let Some(mlp) = self.mlp_override {
-                model = model.with_mlp(mlp);
-            }
-            let demand_misses = summary.stats.demand_misses;
-            let ipc = match &scenario.hierarchy {
-                Some(hreport) => model.ipc(hreport, demand_misses),
-                None => {
-                    // LLC-only mode: demand accesses pay the LLC hit
-                    // latency, demand misses pay DRAM; prefetches do not
-                    // stall the core.
-                    let demand_accesses = summary.stats.accesses - summary.stats.prefetches;
-                    let demand_hits = demand_accesses.saturating_sub(demand_misses);
-                    model.ipc_from_llc(stream.instr_count, demand_hits, demand_misses)
-                }
-            };
-            let prefetch_accuracy = if prefetch_fills == 0 {
-                0.0
-            } else {
-                useful_prefetches as f64 / prefetch_fills as f64
-            };
-            let covered = useful_prefetches + demand_misses;
-            let prefetch_coverage =
-                if covered == 0 { 0.0 } else { useful_prefetches as f64 / covered as f64 };
-
-            let cell = ScenarioCell {
-                workload: stream.name.clone(),
-                machine: machine.machine_label(),
-                prefetcher: self.prefetchers[triple.prefetcher].label(),
-                policy: policy_name.clone(),
+    /// Runs the full grid in parallel and reduces it to a
+    /// [`ScenarioReport`]: each cell takes the record-free
+    /// [`LlcReplay::run_summary`] fast path, and the cells are sorted into
+    /// canonical `(workload, machine, prefetcher, policy)` order before the
+    /// axis roll-ups.
+    pub fn run<F>(&self, make_policy: F) -> Result<ScenarioReport, SweepError>
+    where
+        F: Fn(&str) -> Option<Box<dyn ReplacementPolicy>> + Sync,
+    {
+        let mut cells = self.run_cells(make_policy, |cell, policy| {
+            let summary = cell.scenario.replay.run_summary(policy);
+            // The replay's streaming usefulness counters equal
+            // `prefetch_usefulness` over the records it never materialises.
+            let metrics = cell.scenario.cell_metrics(
+                cell.machine,
+                &summary.stats,
+                cell.stream.instr_count,
+                self.mlp_override,
+                Some(|| (summary.prefetch_fills, summary.useful_prefetches)),
+            );
+            ScenarioCell {
+                workload: cell.stream.name.clone(),
+                machine: cell.machine.machine_label(),
+                prefetcher: cell.prefetcher.label(),
+                policy: cell.policy.to_owned(),
                 accesses: summary.stats.accesses,
                 hits: summary.stats.hits,
                 misses: summary.stats.misses,
                 miss_rate: summary.miss_rate(),
-                demand_misses,
+                demand_misses: metrics.demand_misses,
                 compulsory_misses: summary.compulsory_misses,
                 capacity_misses: summary.capacity_misses,
                 conflict_misses: summary.conflict_misses,
                 wrong_evictions: summary.wrong_evictions,
                 evictions: summary.stats.evictions,
                 prefetches: summary.stats.prefetches,
-                prefetch_fills,
-                useful_prefetches,
-                prefetch_accuracy,
-                prefetch_coverage,
-                instr_count: stream.instr_count,
-                ipc,
-            };
-            cell_span.finish();
-            cell
-        });
+                prefetch_fills: metrics.prefetch_fills,
+                useful_prefetches: metrics.useful_prefetches,
+                prefetch_accuracy: metrics.prefetch_accuracy,
+                prefetch_coverage: metrics.prefetch_coverage,
+                instr_count: cell.stream.instr_count,
+                ipc: metrics.ipc,
+            }
+        })?;
 
         // Canonical order before any reduction: aggregation must not
         // observe scheduling order.
@@ -685,7 +690,6 @@ impl ScenarioGrid {
         let policy_totals = axis_totals(&cells, |c| c.policy.as_str());
         let prefetcher_totals = axis_totals(&cells, |c| c.prefetcher.as_str());
         let machine_totals = axis_totals(&cells, |c| c.machine.as_str());
-        replay_span.finish();
 
         Ok(ScenarioReport { cells, policy_totals, prefetcher_totals, machine_totals })
     }
@@ -770,159 +774,11 @@ impl ScenarioReport {
     }
 }
 
-impl SweepGrid {
-    /// Builder-style: adds a policy name.
-    pub fn policy(mut self, name: impl Into<String>) -> Self {
-        self.policies.push(name.into());
-        self
-    }
-
-    /// Builder-style: adds a stream.
-    pub fn stream(mut self, stream: SweepStream) -> Self {
-        self.streams.push(stream);
-        self
-    }
-
-    /// Builder-style: adds a configuration.
-    pub fn config(mut self, config: CacheConfig) -> Self {
-        self.configs.push(config);
-        self
-    }
-
-    /// Number of grid cells.
-    pub fn cells(&self) -> usize {
-        self.policies.len() * self.streams.len() * self.configs.len()
-    }
-
-    /// The equivalent scenario grid: every LLC geometry becomes an
-    /// LLC-only [`MachineConfig`] and the prefetcher axis is pinned to
-    /// [`PrefetcherKind::None`].
-    pub fn to_scenario(&self) -> ScenarioGrid {
-        ScenarioGrid {
-            policies: self.policies.clone(),
-            streams: self.streams.clone(),
-            machines: self.configs.iter().map(|c| MachineConfig::llc_only(c.clone())).collect(),
-            prefetchers: vec![PrefetcherKind::None],
-            mlp_override: None,
-        }
-    }
-
-    /// Runs the full grid in parallel by delegating to
-    /// [`ScenarioGrid::run`] and converting the scenario cells back into
-    /// the legacy report shape. Numbers are identical to the original
-    /// LLC-only engine: an LLC-only machine replays the untouched stream
-    /// directly against the configured geometry.
-    pub fn run<F>(&self, make_policy: F) -> Result<SweepReport, SweepError>
-    where
-        F: Fn(&str) -> Option<Box<dyn ReplacementPolicy>> + Sync,
-    {
-        let report = self.to_scenario().run(make_policy)?;
-        // (workload, machine, none, policy) order == (workload, config,
-        // policy) order: the prefetcher axis is a single constant and
-        // llc-only machine labels are exactly the legacy config labels.
-        let cells: Vec<SweepCell> = report
-            .cells
-            .into_iter()
-            .map(|c| SweepCell {
-                workload: c.workload,
-                config: c.machine,
-                policy: c.policy,
-                accesses: c.accesses,
-                hits: c.hits,
-                misses: c.misses,
-                miss_rate: c.miss_rate,
-                compulsory_misses: c.compulsory_misses,
-                capacity_misses: c.capacity_misses,
-                conflict_misses: c.conflict_misses,
-                wrong_evictions: c.wrong_evictions,
-                evictions: c.evictions,
-            })
-            .collect();
-        let policy_totals: Vec<PolicyTotal> = report
-            .policy_totals
-            .into_iter()
-            .map(|t| PolicyTotal {
-                policy: t.key,
-                cells: t.cells,
-                accesses: t.accesses,
-                hits: t.hits,
-                misses: t.misses,
-                miss_rate: t.miss_rate,
-                wrong_evictions: t.wrong_evictions,
-            })
-            .collect();
-        Ok(SweepReport { cells, policy_totals })
-    }
-}
-
-impl SweepReport {
-    /// Renders the report as a fixed-width text table (cells, then
-    /// per-policy totals). Stable across runs and thread counts.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<10} {:<16} {:<11} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6} {:>7}\n",
-            "workload",
-            "config",
-            "policy",
-            "accesses",
-            "hits",
-            "misses",
-            "miss%",
-            "comp",
-            "cap",
-            "conf",
-            "wrong",
-        ));
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{:<10} {:<16} {:<11} {:>9} {:>9} {:>9} {:>6.2}% {:>6} {:>6} {:>6} {:>7}\n",
-                c.workload,
-                c.config,
-                c.policy,
-                c.accesses,
-                c.hits,
-                c.misses,
-                c.miss_rate * 100.0,
-                c.compulsory_misses,
-                c.capacity_misses,
-                c.conflict_misses,
-                c.wrong_evictions,
-            ));
-        }
-        out.push('\n');
-        out.push_str(&format!(
-            "{:<11} {:>5} {:>10} {:>10} {:>10} {:>7} {:>7}\n",
-            "policy", "cells", "accesses", "hits", "misses", "miss%", "wrong",
-        ));
-        for t in &self.policy_totals {
-            out.push_str(&format!(
-                "{:<11} {:>5} {:>10} {:>10} {:>10} {:>6.2}% {:>7}\n",
-                t.policy,
-                t.cells,
-                t.accesses,
-                t.hits,
-                t.misses,
-                t.miss_rate * 100.0,
-                t.wrong_evictions,
-            ));
-        }
-        out
-    }
-
-    /// The cell for a `(workload, config, policy)` key, if present.
-    pub fn cell(&self, workload: &str, config: &str, policy: &str) -> Option<&SweepCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.config == config && c.policy == policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::{Address, Pc};
-    use crate::config::HierarchyConfig;
+    use crate::config::{CacheConfig, HierarchyConfig};
     use crate::replacement::RecencyPolicy;
 
     fn cyclic_stream(lines: u64, len: u64) -> Vec<MemoryAccess> {
@@ -935,6 +791,11 @@ mod tests {
         (0..len).map(|i| MemoryAccess::load(Pc::new(0x400100), Address::new(i * 64), i)).collect()
     }
 
+    /// An LLC-only machine over a bare `name` geometry.
+    fn llc(name: &str, sets_log2: u32, ways: usize) -> MachineConfig {
+        MachineConfig::llc_only(CacheConfig::new(name, sets_log2, ways, 6))
+    }
+
     fn lru_only(name: &str) -> Option<Box<dyn ReplacementPolicy>> {
         match name {
             "lru" => Some(Box::new(RecencyPolicy::lru())),
@@ -945,19 +806,20 @@ mod tests {
 
     #[test]
     fn grid_covers_every_cell_in_canonical_order() {
-        let grid = SweepGrid::default()
+        let grid = ScenarioGrid::default()
             .policy("lru")
             .policy("fifo")
             .stream(SweepStream::new("cyc8", cyclic_stream(8, 200)))
             .stream(SweepStream::new("cyc2", cyclic_stream(2, 200)))
-            .config(CacheConfig::new("a", 1, 2, 6))
-            .config(CacheConfig::new("b", 2, 2, 6));
+            .machine(llc("a", 1, 2))
+            .machine(llc("b", 2, 2))
+            .prefetcher(PrefetcherKind::None);
         let report = grid.run(lru_only).expect("grid runs");
         assert_eq!(report.cells.len(), 8);
         let keys: Vec<(String, String, String)> = report
             .cells
             .iter()
-            .map(|c| (c.workload.clone(), c.config.clone(), c.policy.clone()))
+            .map(|c| (c.workload.clone(), c.machine.clone(), c.policy.clone()))
             .collect();
         let mut sorted = keys.clone();
         sorted.sort();
@@ -969,13 +831,15 @@ mod tests {
     fn cells_match_direct_replay() {
         let stream = cyclic_stream(16, 300);
         let cfg = CacheConfig::new("t", 1, 2, 6);
-        let grid = SweepGrid::default()
+        let machine = MachineConfig::llc_only(cfg.clone());
+        let grid = ScenarioGrid::default()
             .policy("lru")
             .stream(SweepStream::new("w", stream.clone()))
-            .config(cfg.clone());
+            .machine(machine.clone())
+            .prefetcher(PrefetcherKind::None);
         let report = grid.run(lru_only).expect("grid runs");
-        let direct = LlcReplay::new(cfg.clone(), &stream).run(RecencyPolicy::lru());
-        let cell = report.cell("w", &config_label(&cfg), "lru").expect("cell exists");
+        let direct = LlcReplay::new(cfg, &stream).run(RecencyPolicy::lru());
+        let cell = report.cell("w", &machine.machine_label(), "none", "lru").expect("cell exists");
         assert_eq!(cell.hits, direct.stats.hits);
         assert_eq!(cell.misses, direct.stats.misses);
         assert_eq!(cell.compulsory_misses, direct.compulsory_misses);
@@ -984,25 +848,32 @@ mod tests {
 
     #[test]
     fn unknown_policy_is_an_error_not_a_panic() {
-        let grid = SweepGrid::default()
+        let grid = ScenarioGrid::default()
             .policy("nope")
             .stream(SweepStream::new("w", cyclic_stream(4, 50)))
-            .config(CacheConfig::new("t", 1, 2, 6));
+            .machine(llc("t", 1, 2))
+            .prefetcher(PrefetcherKind::None);
         assert_eq!(grid.run(lru_only), Err(SweepError::UnknownPolicy("nope".into())));
     }
 
     #[test]
     fn empty_grid_is_an_error() {
-        assert_eq!(SweepGrid::default().run(lru_only), Err(SweepError::EmptyGrid));
         assert_eq!(ScenarioGrid::default().run(lru_only), Err(SweepError::EmptyGrid));
+        // One empty axis is enough: here, no policies.
+        let no_policies = ScenarioGrid::default()
+            .stream(SweepStream::new("w", cyclic_stream(4, 50)))
+            .machine(llc("t", 1, 2))
+            .prefetcher(PrefetcherKind::None);
+        assert_eq!(no_policies.run(lru_only), Err(SweepError::EmptyGrid));
     }
 
     #[test]
     fn duplicate_axis_entries_are_an_error() {
         let base = |policies: &[&str]| {
-            let mut g = SweepGrid::default()
+            let mut g = ScenarioGrid::default()
                 .stream(SweepStream::new("w", cyclic_stream(4, 50)))
-                .config(CacheConfig::new("t", 1, 2, 6));
+                .machine(llc("t", 1, 2))
+                .prefetcher(PrefetcherKind::None);
             g.policies = policies.iter().map(|s| (*s).to_owned()).collect();
             g
         };
@@ -1012,29 +883,64 @@ mod tests {
         );
         let two_streams = base(&["lru"]).stream(SweepStream::new("w", cyclic_stream(2, 10)));
         assert_eq!(two_streams.run(lru_only), Err(SweepError::DuplicateKey("stream:w".into())));
-        // Same config label (name + geometry) twice, even via distinct values.
-        let two_configs = base(&["lru"]).config(CacheConfig::new("t", 1, 2, 6).with_latency(5));
+        // Same machine label (name + geometry) twice, even via distinct values.
+        let two_machines = base(&["lru"])
+            .machine(MachineConfig::llc_only(CacheConfig::new("t", 1, 2, 6).with_latency(5)));
         assert_eq!(
-            two_configs.run(lru_only),
+            two_machines.run(lru_only),
             Err(SweepError::DuplicateKey("machine:t@2x2".into()))
         );
-        // Scenario axes: duplicate prefetcher labels are rejected too.
-        let grid = SweepGrid::default()
+        // Duplicate prefetcher labels are rejected too.
+        let two_prefetchers = base(&["lru"]).prefetcher(PrefetcherKind::None);
+        assert_eq!(
+            two_prefetchers.run(lru_only),
+            Err(SweepError::DuplicateKey("prefetcher:none".into()))
+        );
+    }
+
+    #[test]
+    fn run_cells_returns_results_in_index_order() {
+        // Axes deliberately out of name order: the generic entry keeps the
+        // grid's index order; only `run` sorts by name.
+        let grid = ScenarioGrid::default()
             .policy("lru")
-            .stream(SweepStream::new("w", cyclic_stream(4, 50)))
-            .config(CacheConfig::new("t", 1, 2, 6))
-            .to_scenario()
+            .policy("fifo")
+            .stream(SweepStream::new("b", cyclic_stream(8, 64)))
+            .stream(SweepStream::new("a", cyclic_stream(4, 64)))
+            .machine(llc("m1", 1, 2))
+            .machine(llc("m0", 2, 2))
+            .prefetcher(PrefetcherKind::NextLine)
             .prefetcher(PrefetcherKind::None);
-        assert_eq!(grid.run(lru_only), Err(SweepError::DuplicateKey("prefetcher:none".into())));
+        let seen = grid
+            .run_cells(lru_only, |cell, policy| {
+                assert_eq!(policy.name(), cell.policy);
+                assert_eq!(cell.stream.name, grid.streams[cell.stream_index].name);
+                assert_eq!(cell.machine, &grid.machines[cell.machine_index]);
+                let (stream, machine) = (&cell.stream.name, &cell.machine.name);
+                format!("{stream} {machine} {} {}", cell.prefetcher.label(), cell.policy)
+            })
+            .expect("grid runs");
+        let mut expected = Vec::new();
+        for s in ["b", "a"] {
+            for m in ["m1", "m0"] {
+                for p in ["nextline", "none"] {
+                    for policy in ["lru", "fifo"] {
+                        expected.push(format!("{s} {m} {p} {policy}"));
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, expected);
     }
 
     #[test]
     fn totals_sum_their_cells() {
-        let grid = SweepGrid::default()
+        let grid = ScenarioGrid::default()
             .policy("lru")
             .stream(SweepStream::new("a", cyclic_stream(8, 128)))
             .stream(SweepStream::new("b", cyclic_stream(32, 128)))
-            .config(CacheConfig::new("t", 1, 2, 6));
+            .machine(llc("t", 1, 2))
+            .prefetcher(PrefetcherKind::None);
         let report = grid.run(lru_only).expect("grid runs");
         let total = &report.policy_totals[0];
         let hits: u64 = report.cells.iter().map(|c| c.hits).sum();
@@ -1205,7 +1111,7 @@ mod tests {
     fn prepare_stage_runs_one_task_per_triple() {
         // 2 streams x 1 machine x 2 prefetchers x 2 policies = 8 cells,
         // but stage 1 must prepare only the 4 (stream, machine, prefetcher)
-        // triples; each policy replay shares its triple's Arc.
+        // triples; each policy replay borrows its triple's scenario.
         let grid = ScenarioGrid::default()
             .policy("lru")
             .policy("fifo")
@@ -1220,33 +1126,8 @@ mod tests {
             prepared.len(),
             grid.streams.len() * grid.machines.len() * grid.prefetchers.len()
         );
-        for triple in &prepared {
-            assert_eq!(std::sync::Arc::strong_count(&triple.scenario), 1);
-        }
         // The full run produces one cell per (triple, policy).
         let report = grid.run(lru_only).expect("grid runs");
         assert_eq!(report.cells.len(), prepared.len() * grid.policies.len());
-    }
-
-    #[test]
-    fn adapter_report_is_lossless() {
-        let grid = SweepGrid::default()
-            .policy("lru")
-            .policy("fifo")
-            .stream(SweepStream::new("cyc", cyclic_stream(8, 200)))
-            .config(CacheConfig::new("a", 1, 2, 6))
-            .config(CacheConfig::new("b", 2, 2, 6));
-        let legacy = grid.run(lru_only).expect("legacy runs");
-        let scenario = grid.to_scenario().run(lru_only).expect("scenario runs");
-        assert_eq!(legacy.cells.len(), scenario.cells.len());
-        for (l, s) in legacy.cells.iter().zip(&scenario.cells) {
-            assert_eq!(l.workload, s.workload);
-            assert_eq!(l.config, s.machine);
-            assert_eq!(l.policy, s.policy);
-            assert_eq!(l.hits, s.hits);
-            assert_eq!(l.misses, s.misses);
-            assert_eq!(l.miss_rate, s.miss_rate);
-            assert_eq!(s.prefetcher, "none");
-        }
     }
 }

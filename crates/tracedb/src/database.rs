@@ -1,19 +1,21 @@
 //! The trace database and its builder: simulate workloads under policies
 //! and store the annotated traces.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use cachemind_policies::by_name as policy_by_name;
-use cachemind_sim::access::MemoryAccess;
 use cachemind_sim::config::{CacheConfig, MachineConfig};
 use cachemind_sim::prefetch::PrefetcherKind;
-use cachemind_sim::sweep::{prefetch_usefulness, prepare_scenario, transform_stream};
-use cachemind_sim::timing::IpcModel;
+use cachemind_sim::replacement::ReplacementPolicy;
+use cachemind_sim::sweep::{
+    prefetch_usefulness, prepare_scenario, sweep_cells, transform_stream, GridCell, ScenarioGrid,
+    SweepError, SweepStream,
+};
+use cachemind_workloads::program::ProgramImage;
 use cachemind_workloads::workload::{Scale, Workload};
 use cachemind_workloads::{by_name as workload_by_name, DATABASE_WORKLOADS};
 
@@ -223,30 +225,16 @@ impl TraceDatabase {
         self.entries.values()
     }
 
-    /// Distinct workload names present.
+    /// Distinct workload names present, sorted.
     pub fn workloads(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .entries
-            .values()
-            .map(|e| e.id.workload.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        v.sort();
-        v
+        let names: BTreeSet<&str> = self.entries.values().map(|e| e.id.workload.as_str()).collect();
+        names.into_iter().map(str::to_owned).collect()
     }
 
-    /// Distinct policy names present.
+    /// Distinct policy names present, sorted.
     pub fn policies(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .entries
-            .values()
-            .map(|e| e.id.policy.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        v.sort();
-        v
+        let names: BTreeSet<&str> = self.entries.values().map(|e| e.id.policy.as_str()).collect();
+        names.into_iter().map(str::to_owned).collect()
     }
 
     /// The LLC geometry the traces were produced under (if built by the
@@ -341,6 +329,11 @@ impl std::error::Error for BuildError {}
 
 /// Builds a [`TraceDatabase`] by simulating workloads under policies.
 ///
+/// The build is a [`ScenarioGrid`] whose cells keep their records: machine
+/// slot 0 is the primary LLC-only machine the builder's LLC geometry
+/// describes, prefetcher slot 0 the untransformed baseline, and every cell
+/// runs the full record-emitting replay into one [`TraceEntry`].
+///
 /// # Example
 ///
 /// ```rust
@@ -354,21 +347,6 @@ impl std::error::Error for BuildError {}
 ///     .build();
 /// assert_eq!(db.len(), 2);
 /// ```
-/// The policy-independent half of one `workload × machine × prefetcher`
-/// build cell: the machine, the active prefetcher, and the prepared
-/// scenario ([`cachemind_sim::sweep::PreparedScenario`] — LLC replay with
-/// reuse oracle, plus the baseline hierarchy counters feeding the IPC
-/// model on full machines).
-#[derive(Debug)]
-struct PreparedReplay {
-    machine: MachineConfig,
-    label: String,
-    prefetcher: PrefetcherKind,
-    prefetcher_label: String,
-    scenario: cachemind_sim::sweep::PreparedScenario,
-    primary: bool,
-}
-
 #[derive(Debug, Clone)]
 pub struct TraceDatabaseBuilder {
     workloads: Vec<String>,
@@ -379,6 +357,29 @@ pub struct TraceDatabaseBuilder {
     num_shards: usize,
     extra_machines: Vec<MachineConfig>,
     extra_prefetchers: Vec<PrefetcherKind>,
+}
+
+/// What a trace entry needs of its workload besides the access stream,
+/// which moves into the build grid.
+struct WorkloadContext {
+    description: String,
+    program: Arc<ProgramImage>,
+}
+
+/// The names in first-seen order, each kept once: a repeated name would
+/// only rebuild identical entries under the same key.
+fn unique<I, S>(names: I) -> Vec<String>
+where
+    I: IntoIterator<Item = S>,
+    S: Into<String>,
+{
+    let mut out: Vec<String> = Vec::new();
+    for name in names.into_iter().map(Into::into) {
+        if !out.contains(&name) {
+            out.push(name);
+        }
+    }
+    out
 }
 
 impl Default for TraceDatabaseBuilder {
@@ -422,23 +423,24 @@ impl TraceDatabaseBuilder {
             .llc(CacheConfig::new("LLC", 5, 4, 6).with_latency(26).with_mshr(16))
     }
 
-    /// Selects the workloads to simulate.
+    /// Selects the workloads to simulate (a repeated name is kept once).
     pub fn workloads<I, S>(mut self, names: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.workloads = names.into_iter().map(Into::into).collect();
+        self.workloads = unique(names);
         self
     }
 
-    /// Selects the replacement policies to replay.
+    /// Selects the replacement policies to replay (a repeated name is kept
+    /// once).
     pub fn policies<I, S>(mut self, names: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.policies = names.into_iter().map(Into::into).collect();
+        self.policies = unique(names);
         self
     }
 
@@ -469,16 +471,28 @@ impl TraceDatabaseBuilder {
     /// extra machine contributes one machine-qualified trace per
     /// `workload × policy` pair ([`TraceId::scoped`]), replayed under that
     /// machine's LLC (full machines filter the stream through L1/L2 first)
-    /// with its own [`IpcModel`] estimate — so one database can answer
-    /// per-machine questions for many scenarios at once.
+    /// with its own [`IpcModel`](cachemind_sim::timing::IpcModel) estimate
+    /// — so one database can answer per-machine questions for many
+    /// scenarios at once.
+    ///
+    /// Machines are keyed by [`MachineConfig::machine_label`]: a repeated
+    /// label is kept once, and a machine labelled like the primary machine
+    /// is the primary itself, so neither is simulated twice.
     pub fn machine(mut self, machine: MachineConfig) -> Self {
-        self.extra_machines.push(machine);
+        let label = machine.machine_label();
+        if !self.extra_machines.iter().any(|m| m.machine_label() == label) {
+            self.extra_machines.push(machine);
+        }
         self
     }
 
-    /// Replaces the extra-machine set (see [`TraceDatabaseBuilder::machine`]).
+    /// Replaces the extra-machine set (see [`TraceDatabaseBuilder::machine`]
+    /// for the per-machine semantics).
     pub fn machines<I: IntoIterator<Item = MachineConfig>>(mut self, machines: I) -> Self {
-        self.extra_machines = machines.into_iter().collect();
+        self.extra_machines.clear();
+        for machine in machines {
+            self = self.machine(machine);
+        }
         self
     }
 
@@ -487,14 +501,12 @@ impl TraceDatabaseBuilder {
     ///
     /// Every extra prefetcher contributes one prefetcher-qualified trace
     /// per `workload × machine × policy` cell: the workload stream is
-    /// rewritten through the prefetcher model
-    /// ([`transform_stream`], the same stage-1 machinery
-    /// [`ScenarioGrid`](cachemind_sim::sweep::ScenarioGrid) runs) *before*
-    /// the hierarchy filter and replay, the entry's key gains the
-    /// `+<prefetcher>` qualification ([`TraceId::qualified`]), and its
-    /// metadata records the prefetcher sentence (label, accuracy,
-    /// coverage) next to a prefetch-aware IPC estimate — so a `+stride4`
-    /// selector scopes to real traces.
+    /// rewritten through the prefetcher model ([`transform_stream`], the
+    /// grid's stage 1a) *before* the hierarchy filter and replay, the
+    /// entry's key gains the `+<prefetcher>` qualification
+    /// ([`TraceId::qualified`]), and its metadata records the prefetcher
+    /// sentence (label, accuracy, coverage) next to a prefetch-aware IPC
+    /// estimate — so a `+stride4` selector scopes to real traces.
     ///
     /// Baseline entries keep their unqualified keys and are byte-identical
     /// whether or not extra prefetchers are configured.
@@ -532,133 +544,6 @@ impl TraceDatabaseBuilder {
         self
     }
 
-    /// Prepares the policy-independent half of a `workload × machine ×
-    /// prefetcher` replay via the sweep engine's stage-1 machinery
-    /// ([`prepare_scenario`]): the LLC access stream (already
-    /// prefetcher-transformed by the caller; filtered through L1/L2 for
-    /// full machines), the reuse oracle, and — for full machines — the
-    /// baseline hierarchy counters the IPC model reads. A `None` machine
-    /// slot selects the primary (builder-LLC) machine, whose
-    /// baseline-prefetcher entries keep the legacy byte-identical shape.
-    fn prepare_replay(
-        &self,
-        workload: &Workload,
-        accesses: &[MemoryAccess],
-        slot: Option<&MachineConfig>,
-        prefetcher: PrefetcherKind,
-    ) -> PreparedReplay {
-        let (machine, primary) = match slot {
-            None => (MachineConfig::llc_only(self.llc.clone()), true),
-            Some(m) => (m.clone(), false),
-        };
-        let scenario = prepare_scenario(&machine, accesses, workload.instr_count);
-        PreparedReplay {
-            label: machine.machine_label(),
-            prefetcher,
-            prefetcher_label: prefetcher.label(),
-            scenario,
-            machine,
-            primary,
-        }
-    }
-
-    /// Simulates one `(workload, machine, prefetcher, policy)` cell into
-    /// its trace entry.
-    fn build_entry(
-        &self,
-        wname: &str,
-        workload: &Workload,
-        program: &Arc<cachemind_workloads::program::ProgramImage>,
-        prepared: &PreparedReplay,
-        pname: &str,
-    ) -> TraceEntry {
-        let policy = policy_by_name(pname).expect("policy validated before simulation");
-        let report = prepared.scenario.replay.run(policy);
-        let rows: Vec<TraceRow> = report
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let keep = self.keep_snapshots_every > 0 && i % self.keep_snapshots_every == 0;
-                TraceRow::from_record(r, keep)
-            })
-            .collect();
-        // The scenario sentence: which machine the trace replayed on and
-        // the model-estimated IPC (full machines use the hierarchy
-        // counters, LLC-only machines the same estimate a scenario cell
-        // on this machine reports). The stream is already
-        // prefetcher-transformed, so covered demand misses raise the IPC.
-        let model = IpcModel::from_config(&prepared.machine.hierarchy);
-        let demand_misses = report.stats.demand_misses;
-        let ipc = match &prepared.scenario.hierarchy {
-            Some(hreport) => model.ipc(hreport, demand_misses),
-            None => {
-                let demand_accesses = report.stats.accesses - report.stats.prefetches;
-                let demand_hits = demand_accesses.saturating_sub(demand_misses);
-                model.ipc_from_llc(workload.instr_count, demand_hits, demand_misses)
-            }
-        };
-        // Prefetch usefulness, as the scenario grid counts it: the
-        // hierarchy's counters on full machines (useful prefetches are
-        // consumed by L1 hits the LLC replay never sees), the replay-walk
-        // oracle on LLC-only machines. Baseline cells skip the walk — the
-        // untransformed stream carries no prefetches.
-        let (prefetch_fills, useful_prefetches) =
-            match (&prepared.scenario.hierarchy, prepared.prefetcher) {
-                (_, PrefetcherKind::None) => (0, 0),
-                (Some(hreport), _) => (hreport.prefetch_fills, hreport.useful_prefetches),
-                (None, _) => prefetch_usefulness(
-                    &report.records,
-                    prepared.machine.hierarchy.llc.line_size_log2,
-                ),
-            };
-        let prefetch_accuracy = if prefetch_fills == 0 {
-            0.0
-        } else {
-            useful_prefetches as f64 / prefetch_fills as f64
-        };
-        let covered = useful_prefetches + demand_misses;
-        let prefetch_coverage =
-            if covered == 0 { 0.0 } else { useful_prefetches as f64 / covered as f64 };
-        let metadata = match prepared.prefetcher {
-            PrefetcherKind::None => meta::render_scenario(&report, &prepared.label, ipc),
-            _ => meta::render_scenario_prefetched(
-                &report,
-                &prepared.label,
-                &prepared.prefetcher_label,
-                ipc,
-                prefetch_accuracy,
-                prefetch_coverage,
-            ),
-        };
-        let description = format!(
-            "Workload: {}. Replacement Policy: {}. {}",
-            wname,
-            policy_description(pname),
-            workload.description
-        );
-        let id = TraceId::qualified(
-            wname,
-            pname,
-            (!prepared.primary).then_some(prepared.label.as_str()),
-            (prepared.prefetcher != PrefetcherKind::None)
-                .then_some(prepared.prefetcher_label.as_str()),
-        );
-        TraceEntry {
-            id,
-            frame: TraceFrame::new(rows, Arc::clone(program)),
-            metadata,
-            description,
-            machine: prepared.label.clone(),
-            prefetcher: prepared.prefetcher_label.clone(),
-            prefetch_fills,
-            useful_prefetches,
-            prefetch_accuracy,
-            prefetch_coverage,
-            ipc,
-        }
-    }
-
     /// Validates every configured name against the registries, failing fast
     /// (and deterministically: first offending workload in configuration
     /// order, then first offending policy) before any simulation runs.
@@ -676,107 +561,142 @@ impl TraceDatabaseBuilder {
         Ok(())
     }
 
+    /// Generates the workloads (one task each) and lays the build out as a
+    /// [`ScenarioGrid`]: machine 0 is the primary LLC-only machine and
+    /// prefetcher 0 the untransformed baseline — the slots whose traces
+    /// keep unqualified keys. Each workload's access stream moves into the
+    /// grid; the rest of it stays behind for the entries.
+    fn grid(&self) -> Result<(ScenarioGrid, Vec<WorkloadContext>), BuildError> {
+        let generated = sweep_cells(self.workloads.clone(), |wname| {
+            let workload = workload_by_name(&wname, self.scale);
+            (wname, workload)
+        });
+        let primary = MachineConfig::llc_only(self.llc.clone());
+        let primary_label = primary.machine_label();
+        let extra_machines =
+            self.extra_machines.iter().filter(|m| m.machine_label() != primary_label);
+        let mut grid = ScenarioGrid {
+            policies: self.policies.clone(),
+            streams: Vec::with_capacity(generated.len()),
+            machines: std::iter::once(primary).chain(extra_machines.cloned()).collect(),
+            prefetchers: std::iter::once(PrefetcherKind::None)
+                .chain(self.extra_prefetchers.iter().copied())
+                .collect(),
+            mlp_override: None,
+        };
+        let mut contexts = Vec::with_capacity(generated.len());
+        for (wname, workload) in generated {
+            let Workload { description, program, accesses, instr_count, .. } =
+                workload.ok_or_else(|| BuildError::UnknownWorkload(wname.clone()))?;
+            grid.streams.push(SweepStream::new(wname, accesses).with_instr_count(instr_count));
+            contexts.push(WorkloadContext { description, program: Arc::new(program) });
+        }
+        Ok((grid, contexts))
+    }
+
+    /// Simulates one grid cell into its trace entry: the full
+    /// record-emitting replay, with the prefetch and IPC columns derived
+    /// as every scenario cell derives them
+    /// ([`PreparedScenario::cell_metrics`](cachemind_sim::sweep::PreparedScenario::cell_metrics)).
+    fn build_entry(
+        &self,
+        contexts: &[WorkloadContext],
+        cell: GridCell<'_>,
+        policy: Box<dyn ReplacementPolicy>,
+    ) -> TraceEntry {
+        let report = cell.scenario.replay.run(policy);
+        let rows: Vec<TraceRow> = report
+            .records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let keep = self.keep_snapshots_every > 0 && i % self.keep_snapshots_every == 0;
+                TraceRow::from_record(r, keep)
+            })
+            .collect();
+        // Baseline entries record no prefetch activity, even where a
+        // workload issues its own software prefetches; prefetcher entries
+        // on LLC-only machines walk their records for usefulness.
+        let line_bits = cell.machine.hierarchy.llc.line_size_log2;
+        let metrics = cell.scenario.cell_metrics(
+            cell.machine,
+            &report.stats,
+            cell.stream.instr_count,
+            None,
+            (cell.prefetcher != PrefetcherKind::None)
+                .then_some(|| prefetch_usefulness(&report.records, line_bits)),
+        );
+        let label = cell.machine.machine_label();
+        let prefetcher_label = cell.prefetcher.label();
+        // The scenario sentence: which machine the trace replayed on and
+        // the model-estimated IPC; prefetcher entries add the prefetcher's
+        // accuracy and coverage.
+        let metadata = match cell.prefetcher {
+            PrefetcherKind::None => meta::render_scenario(&report, &label, metrics.ipc),
+            _ => meta::render_scenario_prefetched(
+                &report,
+                &label,
+                &prefetcher_label,
+                metrics.ipc,
+                metrics.prefetch_accuracy,
+                metrics.prefetch_coverage,
+            ),
+        };
+        let wname = &cell.stream.name;
+        let context = &contexts[cell.stream_index];
+        let description = format!(
+            "Workload: {}. Replacement Policy: {}. {}",
+            wname,
+            policy_description(cell.policy),
+            context.description
+        );
+        let id = TraceId::qualified(
+            wname,
+            cell.policy,
+            (cell.machine_index != 0).then_some(label.as_str()),
+            (cell.prefetcher != PrefetcherKind::None).then_some(prefetcher_label.as_str()),
+        );
+        TraceEntry {
+            id,
+            frame: TraceFrame::new(rows, Arc::clone(&context.program)),
+            metadata,
+            description,
+            machine: label,
+            prefetcher: prefetcher_label,
+            prefetch_fills: metrics.prefetch_fills,
+            useful_prefetches: metrics.useful_prefetches,
+            prefetch_accuracy: metrics.prefetch_accuracy,
+            prefetch_coverage: metrics.prefetch_coverage,
+            ipc: metrics.ipc,
+        }
+    }
+
     /// Simulates everything and assembles the sharded database.
     ///
-    /// Work is spread across rayon workers in stages mirroring
-    /// [`ScenarioGrid`](cachemind_sim::sweep::ScenarioGrid): one task per
-    /// workload generates the access stream, one per `workload ×
-    /// prefetcher` rewrites it through the prefetcher model, one per
-    /// `workload × machine × prefetcher` builds the shared replay (reuse
-    /// oracle + hierarchy filter), then one task per grid cell runs the
-    /// policy replay. Entries are routed to shards by the deterministic
-    /// [`shard_index`](crate::store::shard_index) assignment, so the result
-    /// is identical no matter how many threads ran the build.
+    /// The build grid runs through [`ScenarioGrid::run_cells`]: one task
+    /// per workload generates its stream, stage 1 transforms and prepares
+    /// each `workload × machine × prefetcher` triple once, and one task per
+    /// cell replays a policy into its entry. Entries are routed to shards
+    /// by the deterministic [`shard_index`](crate::store::shard_index)
+    /// assignment, so the result is identical no matter how many threads
+    /// ran the build.
     ///
     /// Unknown workload or policy names surface as a [`BuildError`] before
-    /// any simulation starts — shard workers never panic on bad names.
+    /// any simulation starts — shard workers never panic on bad names. No
+    /// workloads or no policies build an empty database.
     pub fn try_build_sharded(self) -> Result<ShardedTraceDatabase, BuildError> {
         self.validate()?;
         let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_BUILD);
-
-        // Stage 1: one task per workload — trace generation is the
-        // machine-independent part, shared by every machine slot.
-        type Prepared = (String, Workload, Arc<cachemind_workloads::program::ProgramImage>);
-        let prepared: Vec<Result<Prepared, BuildError>> = self
-            .workloads
-            .clone()
-            .into_par_iter()
-            .map(|wname| {
-                let workload = workload_by_name(&wname, self.scale)
-                    .ok_or_else(|| BuildError::UnknownWorkload(wname.clone()))?;
-                let program = Arc::new(workload.program.clone());
-                Ok((wname, workload, program))
-            })
-            .collect();
-        let mut workloads = Vec::with_capacity(prepared.len());
-        for result in prepared {
-            workloads.push(result?);
-        }
-
-        // Stage 1b: one task per workload × extra prefetcher — the
-        // prefetcher transform is machine-independent (the sweep engine's
-        // stage 1a), so every machine slot shares one rewritten stream.
-        // Prefetcher slot 0 is the untransformed baseline.
-        let num_extra_prefetchers = self.extra_prefetchers.len();
-        let wp: Vec<(usize, usize)> = (0..workloads.len())
-            .flat_map(|w| (0..num_extra_prefetchers).map(move |p| (w, p)))
-            .collect();
-        let rewritten: Vec<Vec<MemoryAccess>> = wp
-            .into_par_iter()
-            .map(|(w, p)| {
-                transform_stream(self.extra_prefetchers[p], &workloads[w].1.accesses)
-                    .expect("extra prefetchers are never PrefetcherKind::None")
-            })
-            .collect();
-        let stream_for = |w: usize, p: usize| -> &[MemoryAccess] {
-            if p == 0 {
-                &workloads[w].1.accesses
-            } else {
-                &rewritten[w * num_extra_prefetchers + (p - 1)]
-            }
+        let (grid, contexts) = self.grid()?;
+        let entries = match grid
+            .run_cells(policy_by_name, |cell, policy| self.build_entry(&contexts, cell, policy))
+        {
+            Ok(entries) => entries,
+            Err(SweepError::EmptyGrid) => Vec::new(),
+            // validate() resolved every policy, and the builder keeps
+            // every axis duplicate-free.
+            Err(e) => unreachable!("validated build grid failed: {e}"),
         };
-
-        // Stage 1c: one task per workload × machine × prefetcher — the
-        // reuse oracle (and, for full machines, the L1/L2 filter) is the
-        // expensive policy-independent part, shared by every policy
-        // replaying the triple. Slot 0 is the primary machine / baseline.
-        let machine_slots = 1 + self.extra_machines.len();
-        let prefetcher_slots = 1 + num_extra_prefetchers;
-        let wmp: Vec<(usize, usize, usize)> = (0..workloads.len())
-            .flat_map(|w| {
-                (0..machine_slots).flat_map(move |m| (0..prefetcher_slots).map(move |p| (w, m, p)))
-            })
-            .collect();
-        let replays: Vec<PreparedReplay> = wmp
-            .into_par_iter()
-            .map(|(w, m, p)| {
-                let slot = if m == 0 { None } else { Some(&self.extra_machines[m - 1]) };
-                let kind =
-                    if p == 0 { PrefetcherKind::None } else { self.extra_prefetchers[p - 1] };
-                self.prepare_replay(&workloads[w].1, stream_for(w, p), slot, kind)
-            })
-            .collect();
-
-        // Stage 2: one task per (workload, machine, prefetcher, policy)
-        // cell.
-        let num_policies = self.policies.len();
-        let cells: Vec<(usize, usize, usize, usize)> = (0..workloads.len())
-            .flat_map(|w| {
-                (0..machine_slots).flat_map(move |m| {
-                    (0..prefetcher_slots)
-                        .flat_map(move |f| (0..num_policies).map(move |p| (w, m, f, p)))
-                })
-            })
-            .collect();
-        let entries: Vec<TraceEntry> = cells
-            .into_par_iter()
-            .map(|(w, m, f, p)| {
-                let (wname, workload, program) = &workloads[w];
-                let prepared = &replays[(w * machine_slots + m) * prefetcher_slots + f];
-                self.build_entry(wname, workload, program, prepared, &self.policies[p])
-            })
-            .collect();
-
         Ok(ShardedTraceDatabase::from_entries(entries, self.num_shards, Some(self.llc.clone())))
     }
 
@@ -787,29 +707,32 @@ impl TraceDatabaseBuilder {
     }
 
     /// The serial reference implementation of [`TraceDatabaseBuilder::try_build`]:
-    /// a plain double loop over `workload × policy` on the calling thread.
+    /// plain loops over the build grid's cells on the calling thread,
+    /// through the same per-cell entry function as the parallel build.
     /// Kept as the oracle the parallel/sharded builds are tested against.
     pub fn build_serial(self) -> Result<TraceDatabase, BuildError> {
         self.validate()?;
         let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_BUILD);
+        let (grid, contexts) = self.grid()?;
         let mut db = TraceDatabase { entries: BTreeMap::new(), llc: Some(self.llc.clone()) };
-        for wname in &self.workloads {
-            let workload: Workload = workload_by_name(wname, self.scale)
-                .ok_or_else(|| BuildError::UnknownWorkload(wname.clone()))?;
-            let program = Arc::new(workload.program.clone());
-            for p in 0..=self.extra_prefetchers.len() {
-                let kind =
-                    if p == 0 { PrefetcherKind::None } else { self.extra_prefetchers[p - 1] };
-                let transformed = transform_stream(kind, &workload.accesses);
-                let accesses: &[MemoryAccess] = match &transformed {
-                    Some(rewritten) => rewritten,
-                    None => &workload.accesses,
-                };
-                for m in 0..=self.extra_machines.len() {
-                    let slot = if m == 0 { None } else { Some(&self.extra_machines[m - 1]) };
-                    let prepared = self.prepare_replay(&workload, accesses, slot, kind);
-                    for pname in &self.policies {
-                        db.insert(self.build_entry(wname, &workload, &program, &prepared, pname));
+        for (stream_index, stream) in grid.streams.iter().enumerate() {
+            for &prefetcher in &grid.prefetchers {
+                let transformed = transform_stream(prefetcher, &stream.accesses);
+                let accesses = transformed.as_deref().unwrap_or(&stream.accesses);
+                for (machine_index, machine) in grid.machines.iter().enumerate() {
+                    let scenario = prepare_scenario(machine, accesses, stream.instr_count);
+                    for policy in &grid.policies {
+                        let cell = GridCell {
+                            stream,
+                            stream_index,
+                            machine,
+                            machine_index,
+                            prefetcher,
+                            policy,
+                            scenario: &scenario,
+                        };
+                        let replacement = policy_by_name(policy).expect("policy validated");
+                        db.insert(self.build_entry(&contexts, cell, replacement));
                     }
                 }
             }
@@ -1049,6 +972,26 @@ mod tests {
             .build();
         // None is the always-built baseline; the duplicate collapses.
         assert_eq!(db.len(), 2);
+    }
+
+    #[test]
+    fn duplicate_machines_collapse() {
+        let table2 = || MachineConfig::preset("table2").expect("preset");
+        let base = TraceDatabaseBuilder::quick_demo();
+        let primary = MachineConfig::llc_only(base.llc.clone());
+        let builder = base
+            .workloads(["mcf", "mcf"])
+            .policies(["lru", "lru"])
+            .machines([table2(), table2()])
+            // Labelled like the primary machine: it is the primary.
+            .machine(primary);
+        // Every name and machine label is simulated once: one workload,
+        // one policy, the primary machine and table2.
+        let (grid, _) = builder.grid().expect("known workloads");
+        assert_eq!((grid.streams.len(), grid.policies.len(), grid.machines.len()), (1, 1, 2));
+        let db = builder.build();
+        assert_eq!(db.len(), 2);
+        assert_eq!(TraceStore::machines(&db).len(), 2);
     }
 
     #[test]

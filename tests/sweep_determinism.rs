@@ -1,7 +1,7 @@
 //! The parallel sweep engine must be schedule-independent: the same grid
 //! aggregated on one worker thread and on many must produce byte-identical
-//! reports (table and JSON renderings both) — for the legacy LLC-only
-//! `SweepGrid` *and* the full `ScenarioGrid` (machines × prefetchers).
+//! reports (table and JSON renderings both) — for a grid of LLC-only
+//! machines *and* a grid of full machines × prefetchers.
 //!
 //! These tests drive thread count through `RAYON_NUM_THREADS`, which the
 //! rayon shim re-reads per parallel stage. They run in one `#[test]` so the
@@ -10,17 +10,18 @@
 use cachemind_suite::policies::by_name;
 use cachemind_suite::prelude::*;
 use cachemind_suite::sim::prefetch::PrefetcherKind;
-use cachemind_suite::sim::sweep::{ScenarioGrid, SweepGrid, SweepStream};
+use cachemind_suite::sim::sweep::{ScenarioGrid, SweepStream};
 use cachemind_suite::workloads::{self, Scale};
 
-fn demo_grid() -> SweepGrid {
-    let mut grid = SweepGrid::default()
+fn llc_only_grid() -> ScenarioGrid {
+    let mut grid = ScenarioGrid::default()
         .policy("lru")
         .policy("srrip")
         .policy("ship")
         .policy("belady")
-        .config(CacheConfig::new("small", 4, 4, 6))
-        .config(CacheConfig::new("tiny", 2, 2, 6));
+        .machine(MachineConfig::llc_only(CacheConfig::new("small", 4, 4, 6)))
+        .machine(MachineConfig::llc_only(CacheConfig::new("tiny", 2, 2, 6)))
+        .prefetcher(PrefetcherKind::None);
     for name in ["astar", "lbm", "mcf"] {
         let w = workloads::by_name(name, Scale::Tiny).expect("known workload");
         grid.streams.push(SweepStream::new(w.name, w.accesses).with_instr_count(w.instr_count));
@@ -45,12 +46,12 @@ fn scenario_grid() -> ScenarioGrid {
 
 fn run_with_threads(threads: &str) -> [String; 4] {
     std::env::set_var("RAYON_NUM_THREADS", threads);
-    let legacy = demo_grid().run(by_name).expect("legacy grid runs");
+    let llc_only = llc_only_grid().run(by_name).expect("LLC-only grid runs");
     let scenario = scenario_grid().run(by_name).expect("scenario grid runs");
     std::env::remove_var("RAYON_NUM_THREADS");
     [
-        legacy.to_table(),
-        serde_json::to_string(&legacy).expect("legacy report serializes"),
+        llc_only.to_table(),
+        serde_json::to_string(&llc_only).expect("LLC-only report serializes"),
         scenario.to_table(),
         serde_json::to_string(&scenario).expect("scenario report serializes"),
     ]
@@ -61,8 +62,9 @@ fn sweep_report_is_identical_across_thread_counts() {
     let reference = run_with_threads("1");
     for threads in ["2", "8", "13"] {
         let other = run_with_threads(threads);
-        for (i, kind) in
-            ["legacy table", "legacy JSON", "scenario table", "scenario JSON"].iter().enumerate()
+        for (i, kind) in ["LLC-only table", "LLC-only JSON", "scenario table", "scenario JSON"]
+            .iter()
+            .enumerate()
         {
             assert_eq!(
                 reference[i], other[i],
@@ -72,8 +74,8 @@ fn sweep_report_is_identical_across_thread_counts() {
     }
 
     // Sanity: the grids actually covered their full cross products.
-    let legacy = demo_grid().run(by_name).expect("legacy grid runs");
-    assert_eq!(legacy.cells.len(), 24); // 4 policies x 3 workloads x 2 configs
+    let llc_only = llc_only_grid().run(by_name).expect("LLC-only grid runs");
+    assert_eq!(llc_only.cells.len(), 24); // 4 policies x 3 workloads x 2 machines
     assert!(reference[0].contains("belady"));
     assert!(reference[1].contains("\"policy_totals\""));
 
