@@ -12,6 +12,10 @@
 //!   into an executable [`plan::Plan`] (the paper's generated Python,
 //!   replaced by a sandboxed DSL) and a runtime executes it against the
 //!   full database, so counts and aggregates are complete.
+//!
+//! Sieve and Ranger differ in how they *choose* trace data, not in how a
+//! `(workload, policy)` lookup becomes a fact: both run their lookups on
+//! one executor, [`plan::Plan::run_scoped`].
 //! * [`DenseIndexRetriever`] — the LlamaIndex-style baseline: chunked
 //!   trace text under hashed embeddings with cosine top-k, which confuses
 //!   near-identical numeric rows exactly as §6.2 describes.
@@ -47,7 +51,7 @@ pub mod sieve;
 
 pub use dense::DenseIndexRetriever;
 pub use optimize::optimize;
-pub use plan::{AggColumn, AggFunc, Plan, RankAxis, RankMetric};
+pub use plan::{AggColumn, AggFunc, Plan};
 pub use probes::{probe_queries, ProbeReport};
 pub use ranger::RangerRetriever;
 pub use retriever::Retriever;
@@ -57,7 +61,7 @@ pub use sieve::SieveRetriever;
 pub mod prelude {
     pub use crate::dense::DenseIndexRetriever;
     pub use crate::optimize::optimize;
-    pub use crate::plan::{AggColumn, AggFunc, Plan, RankAxis, RankMetric};
+    pub use crate::plan::{AggColumn, AggFunc, Plan};
     pub use crate::probes::{probe_queries, ProbeReport};
     pub use crate::ranger::RangerRetriever;
     pub use crate::retriever::Retriever;

@@ -7,8 +7,11 @@
 //! is the execution runtime, and [`Plan::render_code`] prints the
 //! Python-equivalent for display and for the Code Generation benchmark
 //! category.
+//!
+//! [`Plan::run_scoped`] is the one executor for trace lookups: Ranger runs
+//! its compiled plans on it, and Sieve runs its lookup templates on it as
+//! the same plan variants.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -16,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use cachemind_lang::context::Fact;
 use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::scenario::ScenarioSelector;
-use cachemind_tracedb::database::TraceId;
+use cachemind_tracedb::database::{TraceEntry, TraceId};
 use cachemind_tracedb::filter::Predicate;
 use cachemind_tracedb::meta;
 use cachemind_tracedb::stats::CacheStatisticalExpert;
@@ -86,26 +89,6 @@ impl AggFunc {
             AggFunc::Std => "std",
         }
     }
-}
-
-/// The axis a [`Plan::BatchRank`] ranks over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RankAxis {
-    /// Rank every policy for one anchored workload
-    /// ([`Plan::CompareIpcAcrossPolicies`] / [`Plan::CompareAcrossPolicies`]).
-    Policies,
-    /// Rank every workload under one anchored policy
-    /// ([`Plan::CompareIpcAcrossWorkloads`] / [`Plan::CompareAcrossWorkloads`]).
-    Workloads,
-}
-
-/// The metric a [`Plan::BatchRank`] extracts per ranked entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RankMetric {
-    /// Estimated IPC from the metadata's scenario sentence.
-    Ipc,
-    /// Miss-rate percent (whole trace from metadata, or per-PC from stats).
-    MissRate,
 }
 
 /// Errors from plan execution.
@@ -278,52 +261,32 @@ pub enum Plan {
         /// Policy name.
         policy: String,
     },
-    /// Optimizer-produced collapse of [`Plan::Lookup`]: the filter-then-
-    /// take-first chain becomes a single first-match scan that stops at the
-    /// first qualifying row instead of materializing every match, with the
-    /// scenario scope pushed down (baked in) at optimize time. Emitted only
-    /// by [`optimize`](crate::optimize::optimize), never compiled directly.
-    TakeFirst {
-        /// Workload name.
-        workload: String,
-        /// Policy name.
-        policy: String,
-        /// PC filter.
-        pc: Option<Pc>,
-        /// Byte-address filter.
-        address: Option<Address>,
-        /// The machine scope baked in by the optimizer; execution ignores
-        /// the runtime scope and resolves against this one.
-        scope: ScenarioSelector,
-    },
-    /// Optimizer-produced collapse of a filter-free [`Plan::CountRows`]:
-    /// the full-frame predicate walk becomes a direct frame-length read.
-    TraceLen {
-        /// Workload name.
-        workload: String,
-        /// Policy name.
-        policy: String,
-        /// The machine scope baked in by the optimizer.
-        scope: ScenarioSelector,
-    },
-    /// Optimizer-produced hoist of the four multi-step `Compare*` plans:
-    /// the per-axis-value scoped lookups (each a full [`TraceStore::
-    /// get_scoped`] resolution) are batched into ONE scoped scan whose
-    /// entries are memoized by trace key, then each axis value resolves
-    /// against the memo with `get_scoped`'s exact precedence.
-    BatchRank {
-        /// Which axis is ranked.
-        axis: RankAxis,
-        /// The pinned value on the other axis (workload name when ranking
-        /// policies, policy name when ranking workloads).
-        anchor: String,
-        /// The metric extracted per entry.
-        metric: RankMetric,
-        /// Optional PC scope (miss-rate ranking only).
-        pc: Option<Pc>,
-        /// The machine scope baked in by the optimizer.
-        scope: ScenarioSelector,
-    },
+}
+
+/// The PC's miss rate within one trace, as the facts Ranger and Sieve
+/// share; `None` when the PC never appears there.
+pub(crate) fn pc_miss_rate(entry: &TraceEntry, pc: Pc) -> Option<Fact> {
+    let stats = CacheStatisticalExpert::new().pc_stats(&entry.frame, pc)?;
+    Some(Fact::MissRate {
+        scope: format!("PC {pc}"),
+        percent: stats.miss_rate() * 100.0,
+        accesses: stats.accesses,
+    })
+}
+
+/// The conjunction of a plan's row filters.
+fn row_filter(pc: Option<Pc>, address: Option<Address>, misses_only: bool) -> Predicate {
+    let mut pred = Predicate::True;
+    if let Some(pc) = pc {
+        pred = pred.and(Predicate::PcEquals(pc));
+    }
+    if let Some(addr) = address {
+        pred = pred.and(Predicate::AddressEquals(addr));
+    }
+    if misses_only {
+        pred = pred.and(Predicate::IsMiss(true));
+    }
+    pred
 }
 
 impl Plan {
@@ -332,9 +295,33 @@ impl Plan {
         workload: &str,
         policy: &str,
         scope: &ScenarioSelector,
-    ) -> Result<&'d cachemind_tracedb::database::TraceEntry, PlanError> {
+    ) -> Result<&'d TraceEntry, PlanError> {
         let id = TraceId::new(workload, policy);
         db.get_scoped_resolved(&id, scope).ok_or_else(|| PlanError::UnknownTrace(id.key()))
+    }
+
+    /// The ranking loop of the four `Compare*` plans: one fact per axis
+    /// value whose trace `id(value)` resolves in scope and yields a
+    /// `(metric name, value)`.
+    fn rank(
+        db: &dyn TraceStore,
+        scope: &ScenarioSelector,
+        axis: Vec<String>,
+        id: impl Fn(&str) -> TraceId,
+        metric: impl Fn(&TraceEntry) -> Option<(String, f64)>,
+    ) -> Result<Vec<Fact>, PlanError> {
+        let facts: Vec<Fact> = axis
+            .into_iter()
+            .filter_map(|name| {
+                let (metric, value) = metric(db.get_scoped_resolved(&id(&name), scope)?)?;
+                Some(Fact::PolicyValue { policy: name, metric, value })
+            })
+            .collect();
+        if facts.is_empty() {
+            Err(PlanError::EmptyResult)
+        } else {
+            Ok(facts)
+        }
     }
 
     /// Executes the plan against the database with no scenario scope —
@@ -354,7 +341,9 @@ impl Plan {
     /// to the selector's machine/prefetcher half: on a multi-machine
     /// store, the same plan answers from whichever machine's traces the
     /// scope picks (the workload/policy the plan itself names are already
-    /// resolved slots and are not re-filtered).
+    /// resolved slots and are not re-filtered). This is the one executor
+    /// for trace lookups: Ranger runs its compiled plans here, and Sieve
+    /// runs its lookup templates here.
     ///
     /// # Errors
     ///
@@ -364,34 +353,22 @@ impl Plan {
         db: &dyn TraceStore,
         scope: &ScenarioSelector,
     ) -> Result<Vec<Fact>, PlanError> {
-        // Resolve the machine scope ONCE per run. Multi-step plans
-        // (compares, rankings) used to re-derive it inside every
-        // `get_scoped` call — one clone of both selector strings per
-        // branch; now every branch shares this resolution.
-        let resolved = scope.machine_scope();
-        self.run_resolved(db, &resolved)
-    }
-
-    /// [`Plan::run_scoped`] over an already-resolved machine scope (see
-    /// [`TraceStore::get_scoped_resolved`] for the precondition).
-    fn run_resolved(
-        &self,
-        db: &dyn TraceStore,
-        scope: &ScenarioSelector,
-    ) -> Result<Vec<Fact>, PlanError> {
+        // The machine scope is resolved once per run and shared by every
+        // lookup a multi-step plan makes.
+        let scope = &scope.machine_scope();
         let expert = CacheStatisticalExpert::new();
         match self {
             Plan::Lookup { workload, policy, pc, address } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut pred = Predicate::True;
-                if let Some(pc) = pc {
-                    pred = pred.and(Predicate::PcEquals(*pc));
-                }
-                if let Some(addr) = address {
-                    pred = pred.and(Predicate::AddressEquals(*addr));
-                }
-                let rows = entry.frame.filter(&pred);
-                let row = rows.first().ok_or(PlanError::EmptyResult)?;
+                // The first matching row, without materializing the rest.
+                let row = entry
+                    .frame
+                    .rows()
+                    .iter()
+                    .find(|r| {
+                        pc.is_none_or(|p| r.pc == p) && address.is_none_or(|a| r.address == a)
+                    })
+                    .ok_or(PlanError::EmptyResult)?;
                 Ok(vec![Fact::Outcome {
                     pc: Some(row.pc),
                     address: Some(row.address),
@@ -404,12 +381,7 @@ impl Plan {
             }
             Plan::PcMissRate { workload, policy, pc } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let stats = expert.pc_stats(&entry.frame, *pc).ok_or(PlanError::EmptyResult)?;
-                Ok(vec![Fact::MissRate {
-                    scope: format!("PC {pc}"),
-                    percent: stats.miss_rate() * 100.0,
-                    accesses: stats.accesses,
-                }])
+                Ok(vec![pc_miss_rate(entry, *pc).ok_or(PlanError::EmptyResult)?])
             }
             Plan::WorkloadMissRate { workload, policy } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
@@ -430,103 +402,56 @@ impl Plan {
                     complete: true,
                 }])
             }
-            Plan::CompareIpcAcrossPolicies { workload } => {
-                let mut facts = Vec::new();
-                for policy in db.policies() {
-                    let Ok(entry) = Self::entry(db, workload, &policy, scope) else { continue };
-                    if let Some(ipc) = meta::extract_ipc(&entry.metadata) {
-                        facts.push(Fact::PolicyValue {
-                            policy,
-                            metric: format!(
-                                "estimated IPC{}",
-                                meta::scenario_citation_suffix(&entry.metadata)
-                            ),
-                            value: ipc,
-                        });
-                    }
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
-            Plan::CompareIpcAcrossWorkloads { policy } => {
-                let mut facts = Vec::new();
-                for w in db.workloads() {
-                    let Ok(entry) = Self::entry(db, &w, policy, scope) else { continue };
-                    if let Some(ipc) = meta::extract_ipc(&entry.metadata) {
-                        facts.push(Fact::PolicyValue {
-                            policy: w,
-                            metric: format!(
-                                "estimated IPC under {policy}{}",
-                                meta::scenario_citation_suffix(&entry.metadata)
-                            ),
-                            value: ipc,
-                        });
-                    }
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
-            Plan::CompareAcrossPolicies { workload, pc } => {
-                let mut facts = Vec::new();
-                for policy in db.policies() {
-                    let Ok(entry) = Self::entry(db, workload, &policy, scope) else { continue };
-                    let value = match pc {
-                        Some(pc) => {
-                            expert.pc_stats(&entry.frame, *pc).map(|s| s.miss_rate() * 100.0)
-                        }
-                        None => meta::extract_percent(&entry.metadata, "miss rate"),
+            Plan::CompareIpcAcrossPolicies { workload } => Self::rank(
+                db,
+                scope,
+                db.policies(),
+                |p| TraceId::new(workload, p),
+                |e| {
+                    let ipc = meta::extract_ipc(&e.metadata)?;
+                    Some((
+                        format!("estimated IPC{}", meta::scenario_citation_suffix(&e.metadata)),
+                        ipc,
+                    ))
+                },
+            ),
+            Plan::CompareIpcAcrossWorkloads { policy } => Self::rank(
+                db,
+                scope,
+                db.workloads(),
+                |w| TraceId::new(w, policy),
+                |e| {
+                    let ipc = meta::extract_ipc(&e.metadata)?;
+                    let suffix = meta::scenario_citation_suffix(&e.metadata);
+                    Some((format!("estimated IPC under {policy}{suffix}"), ipc))
+                },
+            ),
+            Plan::CompareAcrossPolicies { workload, pc } => Self::rank(
+                db,
+                scope,
+                db.policies(),
+                |p| TraceId::new(workload, p),
+                |e| {
+                    let rate = match pc {
+                        Some(pc) => expert.pc_stats(&e.frame, *pc).map(|s| s.miss_rate() * 100.0),
+                        None => meta::extract_percent(&e.metadata, "miss rate"),
                     };
-                    if let Some(v) = value {
-                        facts.push(Fact::PolicyValue {
-                            policy,
-                            metric: "miss rate %".to_owned(),
-                            value: v,
-                        });
-                    }
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
-            Plan::CompareAcrossWorkloads { policy } => {
-                let mut facts = Vec::new();
-                for w in db.workloads() {
-                    let Ok(entry) = Self::entry(db, &w, policy, scope) else { continue };
-                    if let Some(rate) = meta::extract_percent(&entry.metadata, "miss rate") {
-                        facts.push(Fact::PolicyValue {
-                            policy: w,
-                            metric: format!("miss rate % under {policy}"),
-                            value: rate,
-                        });
-                    }
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
+                    rate.map(|rate| ("miss rate %".to_owned(), rate))
+                },
+            ),
+            Plan::CompareAcrossWorkloads { policy } => Self::rank(
+                db,
+                scope,
+                db.workloads(),
+                |w| TraceId::new(w, policy),
+                |e| {
+                    let rate = meta::extract_percent(&e.metadata, "miss rate")?;
+                    Some((format!("miss rate % under {policy}"), rate))
+                },
+            ),
             Plan::CountRows { workload, policy, pc, address, misses_only } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut pred = Predicate::True;
-                if let Some(pc) = pc {
-                    pred = pred.and(Predicate::PcEquals(*pc));
-                }
-                if let Some(addr) = address {
-                    pred = pred.and(Predicate::AddressEquals(*addr));
-                }
-                if *misses_only {
-                    pred = pred.and(Predicate::IsMiss(true));
-                }
-                let count = entry.frame.count(&pred);
+                let count = entry.frame.count(&row_filter(*pc, *address, *misses_only));
                 if count == 0 {
                     return Err(PlanError::EmptyResult);
                 }
@@ -538,13 +463,9 @@ impl Plan {
             }
             Plan::Aggregate { workload, policy, pc, column, func } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut pred = Predicate::True;
-                if let Some(pc) = pc {
-                    pred = pred.and(Predicate::PcEquals(*pc));
-                }
                 let values: Vec<f64> = entry
                     .frame
-                    .filter(&pred)
+                    .filter(&row_filter(*pc, None, false))
                     .into_iter()
                     .filter_map(|r| match column {
                         AggColumn::AccessedReuse => r.accessed_reuse_distance.map(|d| d as f64),
@@ -620,15 +541,7 @@ impl Plan {
                     title: "Trace metadata".to_owned(),
                     text: entry.metadata.clone(),
                 }];
-                if let Some(pc) = pc {
-                    if let Some(stats) = expert.pc_stats(&entry.frame, *pc) {
-                        facts.push(Fact::MissRate {
-                            scope: format!("PC {pc}"),
-                            percent: stats.miss_rate() * 100.0,
-                            accesses: stats.accesses,
-                        });
-                    }
-                }
+                facts.extend(pc.and_then(|pc| pc_miss_rate(entry, pc)));
                 Ok(facts)
             }
             Plan::UniquePcs { workload, policy } => {
@@ -701,130 +614,6 @@ impl Plan {
                     title: format!("Hot/cold sets ({workload}/{policy})"),
                     text: format!("Hot Sets = {hot:?}, Cold Sets = {cold:?}"),
                 }])
-            }
-            Plan::TakeFirst { workload, policy, pc, address, scope: baked } => {
-                let entry = Self::entry(db, workload, policy, baked)?;
-                let row = entry
-                    .frame
-                    .rows()
-                    .iter()
-                    .find(|r| {
-                        pc.is_none_or(|p| r.pc == p) && address.is_none_or(|a| r.address == a)
-                    })
-                    .ok_or(PlanError::EmptyResult)?;
-                Ok(vec![Fact::Outcome {
-                    pc: Some(row.pc),
-                    address: Some(row.address),
-                    workload: workload.clone(),
-                    policy: policy.clone(),
-                    is_miss: row.is_miss,
-                    evicted: row.evicted_address.map(|e| (e, row.evicted_reuse_distance)),
-                    inserted_reuse: row.accessed_reuse_distance,
-                }])
-            }
-            Plan::TraceLen { workload, policy, scope: baked } => {
-                let entry = Self::entry(db, workload, policy, baked)?;
-                let count = entry.frame.rows().len();
-                if count == 0 {
-                    return Err(PlanError::EmptyResult);
-                }
-                Ok(vec![Fact::CountValue {
-                    what: format!("matching accesses in {workload}_{policy}"),
-                    value: count as u64,
-                    complete: true,
-                }])
-            }
-            Plan::BatchRank { axis, anchor, metric, pc, scope: baked } => {
-                // ONE scoped scan replaces the per-axis-value `get_scoped`
-                // resolutions of the naive compare plans. The scan pins the
-                // anchored slot, memoizes every in-scope entry by trace key,
-                // and records the first entry of each axis group (ascending
-                // key order) — exactly the set and order `get_scoped` would
-                // consider per value, so resolution below can mirror its
-                // precedence byte for byte.
-                let mut pinned = baked.clone();
-                match axis {
-                    RankAxis::Policies => pinned.workload = Some(anchor.clone()),
-                    RankAxis::Workloads => pinned.policy = Some(anchor.clone()),
-                }
-                let mut by_key: BTreeMap<String, &cachemind_tracedb::database::TraceEntry> =
-                    BTreeMap::new();
-                let mut groups: BTreeMap<&str, &cachemind_tracedb::database::TraceEntry> =
-                    BTreeMap::new();
-                for e in db.select(&pinned) {
-                    by_key.insert(e.id.key(), e);
-                    let group = match axis {
-                        RankAxis::Policies => e.id.policy.as_str(),
-                        RankAxis::Workloads => e.id.workload.as_str(),
-                    };
-                    groups.entry(group).or_insert(e);
-                }
-                // get_scoped's qualified-key candidate shapes, hoisted out
-                // of the loop (they depend only on the scope).
-                let machine = baked.machine.as_deref();
-                let prefetcher = baked.prefetcher.as_deref().filter(|p| *p != "none");
-                let pairs = [(machine, prefetcher), (machine, None), (None, prefetcher)];
-                let mut facts = Vec::new();
-                for (group, first) in &groups {
-                    let (w, p) = match axis {
-                        RankAxis::Policies => (anchor.as_str(), *group),
-                        RankAxis::Workloads => (*group, anchor.as_str()),
-                    };
-                    // Precedence mirror: unqualified entry, then the
-                    // qualified key shapes, then first-in-scope fallback.
-                    let id = TraceId::new(w, p);
-                    let mut entry = by_key.get(&id.key()).copied();
-                    if entry.is_none() {
-                        for (i, &(m, pf)) in pairs.iter().enumerate() {
-                            if (m.is_none() && pf.is_none()) || pairs[..i].contains(&(m, pf)) {
-                                continue;
-                            }
-                            let candidate = TraceId::qualified(w, p, m, pf);
-                            if candidate == id {
-                                continue;
-                            }
-                            if let Some(e) = by_key.get(&candidate.key()) {
-                                entry = Some(*e);
-                                break;
-                            }
-                        }
-                    }
-                    let entry = entry.unwrap_or(*first);
-                    let value = match metric {
-                        RankMetric::Ipc => meta::extract_ipc(&entry.metadata),
-                        RankMetric::MissRate => match pc {
-                            Some(pc) => {
-                                expert.pc_stats(&entry.frame, *pc).map(|s| s.miss_rate() * 100.0)
-                            }
-                            None => meta::extract_percent(&entry.metadata, "miss rate"),
-                        },
-                    };
-                    let Some(value) = value else { continue };
-                    let metric_name = match (*metric, *axis) {
-                        (RankMetric::Ipc, RankAxis::Policies) => format!(
-                            "estimated IPC{}",
-                            meta::scenario_citation_suffix(&entry.metadata)
-                        ),
-                        (RankMetric::Ipc, RankAxis::Workloads) => format!(
-                            "estimated IPC under {anchor}{}",
-                            meta::scenario_citation_suffix(&entry.metadata)
-                        ),
-                        (RankMetric::MissRate, RankAxis::Policies) => "miss rate %".to_owned(),
-                        (RankMetric::MissRate, RankAxis::Workloads) => {
-                            format!("miss rate % under {anchor}")
-                        }
-                    };
-                    facts.push(Fact::PolicyValue {
-                        policy: group.to_string(),
-                        metric: metric_name,
-                        value,
-                    });
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
             }
         }
     }
@@ -947,55 +736,6 @@ impl Plan {
                  result = f\"hot: {{rates.nlargest(5).index.tolist()}}, \
                  cold: {{rates.nsmallest(5).index.tolist()}}\""
             ),
-            Plan::TakeFirst { workload, policy, pc, address, scope } => {
-                let mut filters = String::new();
-                if let Some(pc) = pc {
-                    filters.push_str(&format!("df = df[df.program_counter == {pc}]\n"));
-                }
-                if let Some(addr) = address {
-                    filters.push_str(&format!("df = df[df.memory_address == {addr}]\n"));
-                }
-                format!(
-                    "# plan-optimizer: Lookup collapsed to a first-match scan (scope \"{scope}\")\n\
-                     df = loaded_data[\"{workload}_evictions_{policy}\"][\"data_frame\"]\n\
-                     {filters}row = df.iloc[0]\n\
-                     result = f\"Cache result: {{row.evict}}\""
-                )
-            }
-            Plan::TraceLen { workload, policy, scope } => format!(
-                "# plan-optimizer: CountRows collapsed to the frame length (scope \"{scope}\")\n\
-                 df = loaded_data[\"{workload}_evictions_{policy}\"][\"data_frame\"]\n\
-                 result = f\"count: {{len(df)}}\""
-            ),
-            Plan::BatchRank { axis, anchor, metric, pc, scope } => {
-                let (axis_name, key_test) = match axis {
-                    RankAxis::Policies => ("policy", format!("key.startswith(\"{anchor}\")")),
-                    RankAxis::Workloads => ("workload", format!("key.endswith(\"{anchor}\")")),
-                };
-                let metric_expr = match metric {
-                    RankMetric::Ipc => {
-                        "re.search(r\"estimated IPC of ([0-9.]+)\", entry[\"metadata\"]).group(1)"
-                            .to_owned()
-                    }
-                    RankMetric::MissRate => match pc {
-                        Some(p) => format!(
-                            "entry[\"data_frame\"]\
-                             .query(\"program_counter == {p}\").is_miss.mean()"
-                        ),
-                        None => {
-                            "re.search(r\"([0-9.]+)% miss rate\", entry[\"metadata\"]).group(1)"
-                                .to_owned()
-                        }
-                    },
-                };
-                format!(
-                    "# plan-optimizer: per-{axis_name} lookups hoisted into one scoped scan \
-                     (scope \"{scope}\")\n\
-                     entries = {{key: loaded_data[key] for key in loaded_data if {key_test}}}\n\
-                     values = {{key: {metric_expr} for key, entry in entries.items()}}\n\
-                     result = str(sorted(values.items(), key=lambda kv: kv[1], reverse=True))"
-                )
-            }
         }
     }
 }
@@ -1003,6 +743,8 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachemind_obs::{Counter, MetricsRegistry};
+    use cachemind_sim::config::CacheConfig;
     use cachemind_tracedb::TraceDatabaseBuilder;
 
     fn db() -> cachemind_tracedb::TraceDatabase {
@@ -1181,6 +923,75 @@ mod tests {
             assert!(code.contains("result ="), "missing result binding: {code}");
             assert!(code.contains("estimated IPC"), "code must parse the IPC: {code}");
         }
+    }
+
+    /// A store wrapper that counts resolution traffic through the metrics
+    /// registry — the pin for resolving the machine scope once per run.
+    #[derive(Debug)]
+    struct CountingStore {
+        inner: cachemind_tracedb::TraceDatabase,
+        scoped_lookups: Counter,
+        scans: Counter,
+    }
+
+    impl TraceStore for CountingStore {
+        fn get(&self, key: &str) -> Option<&TraceEntry> {
+            self.inner.get(key)
+        }
+        fn trace_keys(&self) -> Vec<String> {
+            self.inner.trace_keys()
+        }
+        fn entries<'a>(&'a self) -> Box<dyn Iterator<Item = &'a TraceEntry> + 'a> {
+            TraceStore::entries(&self.inner)
+        }
+        fn workloads(&self) -> Vec<String> {
+            TraceStore::workloads(&self.inner)
+        }
+        fn policies(&self) -> Vec<String> {
+            TraceStore::policies(&self.inner)
+        }
+        fn llc_config(&self) -> Option<&CacheConfig> {
+            TraceStore::llc_config(&self.inner)
+        }
+        fn len(&self) -> usize {
+            TraceStore::len(&self.inner)
+        }
+        fn select<'a>(
+            &'a self,
+            selector: &ScenarioSelector,
+        ) -> Box<dyn Iterator<Item = &'a TraceEntry> + 'a> {
+            self.scans.inc();
+            self.inner.select(selector)
+        }
+        fn get_scoped_resolved(
+            &self,
+            id: &TraceId,
+            scope: &ScenarioSelector,
+        ) -> Option<&TraceEntry> {
+            self.scoped_lookups.inc();
+            self.inner.get_scoped_resolved(id, scope)
+        }
+    }
+
+    #[test]
+    fn multi_step_plans_resolve_each_branch_once() {
+        let registry = MetricsRegistry::new();
+        let store = CountingStore {
+            inner: db(),
+            scoped_lookups: registry.counter("test.store.scoped_lookups"),
+            scans: registry.counter("test.store.scans"),
+        };
+        let plan = Plan::CompareIpcAcrossPolicies { workload: "mcf".into() };
+        // Exactly one scoped lookup per policy: the machine scope is
+        // resolved once per run, and each lookup goes through
+        // get_scoped_resolved directly.
+        let policies = TraceStore::policies(&store).len() as u64;
+        let facts = plan.run_scoped(&store, &ScenarioSelector::all()).unwrap();
+        assert_eq!(facts.len() as u64, policies);
+        assert_eq!(store.scoped_lookups.get(), policies, "one resolved lookup per policy");
+        // quick_demo has no qualified entries, so no keyed miss falls
+        // through to the linear fallback scan.
+        assert_eq!(store.scans.get(), 0, "no fallback scans for unscoped lookups");
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! The planner half simulates the code-writing retrieval LLM: given the
 //! parsed query and the database schema card, it emits a [`Plan`] ("the
-//! generated code"). The runtime half executes the plan over the full
-//! database. Because plans iterate whole frames, counts and aggregates are
+//! generated code"). The runtime half executes that plan over the full
+//! database with [`Plan::run_scoped`], and a Code Generation answer shows
+//! the same plan rendered as Python — one plan is compiled, run and
+//! rendered. Because plans iterate whole frames, counts and aggregates are
 //! *complete* — the mechanistic reason Ranger repairs the Count and
 //! Arithmetic categories that cripple Sieve (Fig. 8).
 //!
@@ -17,10 +19,9 @@ use cachemind_lang::intent::{QueryCategory, QueryIntent, Tier};
 use cachemind_tracedb::schema;
 use cachemind_tracedb::store::TraceStore;
 
-use crate::optimize::optimize;
 use crate::plan::{AggColumn, AggFunc, Plan, PlanError};
 use crate::quality::grade;
-use crate::retriever::{resolve_trace_slots, Retriever};
+use crate::retriever::{pc_homes, resolve_trace_slots, Retriever};
 
 /// The Ranger retriever.
 #[derive(Debug, Clone)]
@@ -184,13 +185,7 @@ impl RangerRetriever {
     /// is still a premise violation for this one.
     fn investigate_empty(db: &dyn TraceStore, intent: &QueryIntent) -> Option<Fact> {
         let pc = intent.pc?;
-        let homes: Vec<String> = db
-            .select(&intent.selector.machine_scope())
-            .filter(|e| e.frame.rows().iter().any(|r| r.pc == pc))
-            .map(|e| e.id.workload.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let homes = pc_homes(db, intent, pc);
         let reason = if homes.is_empty() {
             format!("PC {pc} does not appear in any trace")
         } else if let Some(w) = &intent.workload {
@@ -218,14 +213,8 @@ impl Retriever for RangerRetriever {
         let Some(plan) = compiled else {
             return RetrievedContext::empty("ranger");
         };
-        // Execute the optimized rewrite (pushdown + collapse + hoisting);
-        // the rewrite-equivalence harness pins its facts byte-identical to
-        // the naive plan's. The *naive* plan stays the one rendered for
-        // code-generation answers below — the optimizer accelerates
-        // execution without changing what "the generated code" looks like.
-        let optimized = optimize(plan.clone(), &intent.selector);
         let run_span = self.metrics.span(cachemind_obs::names::RETRIEVAL_PLAN_RUN);
-        let run_result = optimized.run_scoped(db, &intent.selector.machine_scope());
+        let run_result = plan.run_scoped(db, &intent.selector);
         run_span.finish();
         let mut facts = match run_result {
             Ok(facts) => facts,

@@ -1,7 +1,10 @@
 //! The retriever interface shared by Sieve, Ranger and the dense baseline.
 
+use std::collections::BTreeSet;
+
 use cachemind_lang::context::RetrievedContext;
 use cachemind_lang::intent::QueryIntent;
+use cachemind_sim::addr::Pc;
 use cachemind_tracedb::store::TraceStore;
 
 /// A retrieval strategy: maps a parsed query to a context bundle over the
@@ -51,6 +54,18 @@ pub fn resolve_trace_slots(
         resolve(intent.workload.clone().or_else(|| intent.selector.workload.clone()), &workloads),
         resolve(intent.policy.clone().or_else(|| intent.selector.policy.clone()), &policies),
     )
+}
+
+/// The workloads, in ascending order, whose traces inside the intent's
+/// machine/prefetcher scope contain `pc` — where a PC the question placed
+/// elsewhere actually lives. Both retrievers' premise checks cite it.
+pub fn pc_homes(db: &dyn TraceStore, intent: &QueryIntent, pc: Pc) -> Vec<String> {
+    db.select(&intent.selector.machine_scope())
+        .filter(|e| e.frame.rows().iter().any(|r| r.pc == pc))
+        .map(|e| e.id.workload.clone())
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]

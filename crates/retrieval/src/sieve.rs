@@ -14,6 +14,14 @@
 //! 4. **Context assembly** — facts, metadata and code snippets are bundled
 //!    for the generator.
 //!
+//! Sieve differs from Ranger in how it *chooses* trace data — fixed
+//! templates, not generated code — not in how a lookup becomes a fact: its
+//! hit/miss, IPC, miss-rate and policy-comparison templates build the same
+//! [`Plan`] shapes Ranger compiles and run them on the one executor,
+//! [`Plan::run_scoped`]. What stays Sieve's own is the premise check ahead
+//! of a lookup, the capped Count/Arithmetic slice, the workload-analysis
+//! template and the reasoning bundle.
+//!
 //! Sieve is deliberately *template-bound*: slices are capped at
 //! [`SieveRetriever::slice_cap`] rows, so aggregate questions (Count,
 //! Arithmetic) over larger slices come back marked incomplete — the
@@ -21,14 +29,14 @@
 
 use cachemind_lang::context::{Fact, RetrievedContext};
 use cachemind_lang::intent::{QueryCategory, QueryIntent};
-use cachemind_sim::addr::Pc;
 use cachemind_tracedb::database::{policy_description, TraceEntry};
 use cachemind_tracedb::filter::Predicate;
 use cachemind_tracedb::stats::CacheStatisticalExpert;
 use cachemind_tracedb::store::TraceStore;
 
+use crate::plan::{pc_miss_rate, Plan};
 use crate::quality::grade;
-use crate::retriever::{resolve_trace_slots, Retriever};
+use crate::retriever::{pc_homes, resolve_trace_slots, Retriever};
 
 /// The Sieve retriever.
 #[derive(Debug, Clone)]
@@ -80,13 +88,7 @@ impl SieveRetriever {
         let pc = intent.pc?;
         let pc_in_trace = entry.frame.rows().iter().any(|r| r.pc == pc);
         if !pc_in_trace {
-            let elsewhere: Vec<String> = db
-                .select(&intent.selector.machine_scope())
-                .filter(|e| e.frame.rows().iter().any(|r| r.pc == pc))
-                .map(|e| e.id.workload.clone())
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
+            let elsewhere = pc_homes(db, intent, pc);
             let reason = if elsewhere.is_empty() {
                 format!("PC {pc} does not appear in any trace")
             } else {
@@ -103,15 +105,6 @@ impl SieveRetriever {
             }
         }
         None
-    }
-
-    fn pc_stats_fact(entry: &TraceEntry, pc: Pc) -> Option<Fact> {
-        let stats = CacheStatisticalExpert::new().pc_stats(&entry.frame, pc)?;
-        Some(Fact::MissRate {
-            scope: format!("PC {pc}"),
-            percent: stats.miss_rate() * 100.0,
-            accesses: stats.accesses,
-        })
     }
 
     fn assemble_reasoning_bundle(
@@ -131,9 +124,7 @@ impl SieveRetriever {
             text: entry.metadata.clone(),
         });
         if let Some(pc) = intent.pc {
-            if let Some(f) = Self::pc_stats_fact(entry, pc) {
-                facts.push(f);
-            }
+            facts.extend(pc_miss_rate(entry, pc));
             if let Some(asm) = entry.frame.assembly_code(pc) {
                 let title = match entry.frame.function_name(pc) {
                     Some(name) => format!("Assembly ({name})"),
@@ -180,12 +171,9 @@ impl Retriever for SieveRetriever {
 
     fn retrieve(&self, db: &dyn TraceStore, intent: &QueryIntent) -> RetrievedContext {
         let (workload, policy) = resolve_trace_slots(db, intent, self.semantic);
-        let expert = CacheStatisticalExpert::new();
         let mut facts: Vec<Fact> = Vec::new();
         // The machine scope is resolved once per retrieval and handed to
-        // every lookup below — the multi-branch templates (policy and
-        // workload comparisons, reasoning bundles) must not re-derive it
-        // per branch.
+        // every lookup below.
         let scope = intent.selector.machine_scope();
 
         // Stage 1: trace-level filtering, scoped to the intent's scenario
@@ -197,105 +185,35 @@ impl Retriever for SieveRetriever {
         });
 
         match intent.category {
-            QueryCategory::HitMiss => {
+            QueryCategory::HitMiss | QueryCategory::MissRate => {
                 if let Some(entry) = entry {
-                    if let Some(violation) = Self::premise_check(db, entry, intent) {
-                        facts.push(violation);
-                    } else {
-                        // Stage 2: symbolic PC/address filters.
-                        let mut pred = Predicate::True;
-                        if let Some(pc) = intent.pc {
-                            pred = pred.and(Predicate::PcEquals(pc));
-                        }
-                        if let Some(addr) = intent.address {
-                            pred = pred.and(Predicate::AddressEquals(addr));
-                        }
-                        if let Some(row) = entry.frame.filter(&pred).first() {
-                            facts.push(Fact::Outcome {
-                                pc: Some(row.pc),
-                                address: Some(row.address),
-                                workload: entry.id.workload.clone(),
-                                policy: entry.id.policy.clone(),
-                                is_miss: row.is_miss,
-                                evicted: row
-                                    .evicted_address
-                                    .map(|e| (e, row.evicted_reuse_distance)),
-                                inserted_reuse: row.accessed_reuse_distance,
-                            });
-                        }
-                    }
-                }
-            }
-            QueryCategory::MissRate => {
-                if let Some(entry) = entry {
-                    if intent.raw.to_lowercase().contains("ipc") {
-                        // IPC lookups ride the MissRate category; the value
-                        // comes from the metadata's scenario sentence, not
-                        // the miss-rate percent.
-                        if let Some(ipc) = cachemind_tracedb::meta::extract_ipc(&entry.metadata) {
-                            // One shared citation phrase across Sieve,
-                            // Ranger and the serve layer's cited-label
-                            // resolution (see `meta::ipc_citation`).
-                            facts.push(Fact::NumericValue {
-                                what: cachemind_tracedb::meta::ipc_citation(
-                                    &entry.id.workload,
-                                    &entry.id.policy,
-                                    &entry.metadata,
-                                ),
-                                value: ipc,
-                                complete: true,
-                            });
-                        }
+                    // Stages 2-3 run the same lookup plans as Ranger's
+                    // runtime, behind Sieve's own premise check. IPC
+                    // lookups ride the MissRate category and read the
+                    // metadata's scenario sentence, so they skip the check.
+                    let (workload, policy) = (entry.id.workload.clone(), entry.id.policy.clone());
+                    let ipc = intent.category == QueryCategory::MissRate
+                        && intent.raw.to_lowercase().contains("ipc");
+                    let plan = if intent.category == QueryCategory::HitMiss {
+                        Plan::Lookup { workload, policy, pc: intent.pc, address: intent.address }
+                    } else if ipc {
+                        Plan::WorkloadIpc { workload, policy }
                     } else if let Some(pc) = intent.pc {
-                        if let Some(violation) = Self::premise_check(db, entry, intent) {
-                            facts.push(violation);
-                        } else if let Some(f) = Self::pc_stats_fact(entry, pc) {
-                            facts.push(f);
-                        }
+                        Plan::PcMissRate { workload, policy, pc }
                     } else {
-                        // Whole-workload rate comes from the metadata string.
-                        if let Some(rate) =
-                            cachemind_tracedb::meta::extract_percent(&entry.metadata, "miss rate")
-                        {
-                            facts.push(Fact::MissRate {
-                                scope: format!("workload {}", entry.id.workload),
-                                percent: rate,
-                                accesses: cachemind_tracedb::meta::extract_count(
-                                    &entry.metadata,
-                                    "total accesses",
-                                )
-                                .unwrap_or(0),
-                            });
-                        }
+                        Plan::WorkloadMissRate { workload, policy }
+                    };
+                    let violation = if ipc { None } else { Self::premise_check(db, entry, intent) };
+                    match violation {
+                        Some(violation) => facts.push(violation),
+                        None => facts.extend(plan.run_scoped(db, &scope).unwrap_or_default()),
                     }
                 }
             }
             QueryCategory::PolicyComparison => {
-                if let Some(w) = workload.as_deref() {
-                    for policy in db.policies() {
-                        let Some(entry) = db.get_scoped_resolved(
-                            &cachemind_tracedb::database::TraceId::new(w, &policy),
-                            &scope,
-                        ) else {
-                            continue;
-                        };
-                        let value = match intent.pc {
-                            Some(pc) => {
-                                expert.pc_stats(&entry.frame, pc).map(|s| s.miss_rate() * 100.0)
-                            }
-                            None => cachemind_tracedb::meta::extract_percent(
-                                &entry.metadata,
-                                "miss rate",
-                            ),
-                        };
-                        if let Some(v) = value {
-                            facts.push(Fact::PolicyValue {
-                                policy: policy.clone(),
-                                metric: "miss rate %".to_owned(),
-                                value: v,
-                            });
-                        }
-                    }
+                if let Some(workload) = workload {
+                    let plan = Plan::CompareAcrossPolicies { workload, pc: intent.pc };
+                    facts.extend(plan.run_scoped(db, &scope).unwrap_or_default());
                 }
             }
             QueryCategory::Count | QueryCategory::Arithmetic => {
