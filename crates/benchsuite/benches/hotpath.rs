@@ -24,17 +24,24 @@
 //! * `retrieval_latency/<retriever>/hitmiss` — Sieve, Ranger and the dense
 //!   index answering one hit/miss question (the Figure 9 latency column);
 //! * `intent_parse` — question text to [`QueryIntent`];
+//! * `pc_index` — per-PC questions on the Small mcf trace: `pc_stats`
+//!   through a fresh frame's first index build (`cold`, which includes
+//!   moving cloned rows into the frame) and through the built index
+//!   (`warm`), and a PC-scoped `CompareAcrossPolicies` plan;
 //! * the ablations DESIGN.md calls out: `sieve_semantic` and
 //!   `ranger_schema` (on/off), `embedding_dims` (16/64/256) and
 //!   `record_history_len` (2/8/32, ptrchase on the annotated path).
 //!
 //! Run with `cargo bench -p cachemind-benchsuite --bench hotpath`.
 
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use cachemind_lang::embed::HashedEmbedder;
 use cachemind_lang::intent::QueryIntent;
 use cachemind_retrieval::dense::DenseIndexRetriever;
+use cachemind_retrieval::plan::Plan;
 use cachemind_retrieval::ranger::RangerRetriever;
 use cachemind_retrieval::retriever::Retriever;
 use cachemind_retrieval::sieve::SieveRetriever;
@@ -43,7 +50,8 @@ use cachemind_sim::config::{CacheConfig, HierarchyConfig, MachineConfig};
 use cachemind_sim::replacement::{AccessContext, RecencyPolicy};
 use cachemind_sim::replay::LlcReplay;
 use cachemind_sim::sweep::prepare_scenario;
-use cachemind_tracedb::{TraceDatabase, TraceDatabaseBuilder};
+use cachemind_tracedb::{CacheStatisticalExpert, TraceDatabase, TraceDatabaseBuilder, TraceFrame};
+use cachemind_workloads::program::ProgramImage;
 use cachemind_workloads::{by_name, Scale};
 
 /// The LLC geometry the trace database replays against: 256 sets x 8 ways.
@@ -208,6 +216,27 @@ fn retrieval(c: &mut Criterion) {
     group.finish();
 }
 
+fn pc_index(c: &mut Criterion) {
+    // No snapshot columns: the index never reads them, and without them the
+    // cold loop's row clone is a flat copy.
+    let db = TraceDatabaseBuilder::new().workloads(["mcf"]).keep_snapshots_every(0).build();
+    let entry = db.get("mcf_evictions_lru").expect("trace");
+    let pc = entry.frame.rows()[10].pc;
+    let program = Arc::new(ProgramImage::new());
+    let expert = CacheStatisticalExpert::new();
+    let mut group = c.benchmark_group("pc_index");
+    group.bench_function("pc_stats/cold", |b| {
+        b.iter(|| {
+            let frame = TraceFrame::new(entry.frame.rows().to_vec(), Arc::clone(&program));
+            expert.pc_stats(&frame, pc)
+        })
+    });
+    group.bench_function("pc_stats/warm", |b| b.iter(|| expert.pc_stats(&entry.frame, pc)));
+    let compare = Plan::CompareAcrossPolicies { workload: "mcf".to_owned(), pc: Some(pc) };
+    group.bench_function("compare_across_policies", |b| b.iter(|| compare.run(&db)));
+    group.finish();
+}
+
 fn ablations(c: &mut Criterion) {
     let text = "TRACE_ID: astar_evictions_lru program_counter=0x409538 \
                 memory_address=0x2bfd401b693 evict=Cache Miss";
@@ -239,6 +268,7 @@ criterion_group!(
     prepare_split,
     tracedb_build,
     retrieval,
+    pc_index,
     ablations
 );
 criterion_main!(hotpath);

@@ -179,7 +179,7 @@ pub enum Plan {
         /// Policy name.
         policy: String,
     },
-    /// Count rows matching the filters (full-frame iteration).
+    /// Count rows matching the filters (every match, uncapped).
     CountRows {
         /// Workload name.
         workload: String,
@@ -192,7 +192,7 @@ pub enum Plan {
         /// Restrict to misses.
         misses_only: bool,
     },
-    /// Aggregate a numeric column over matching rows (full-frame).
+    /// Aggregate a numeric column over every matching row (uncapped).
     Aggregate {
         /// Workload name.
         workload: String,
@@ -363,11 +363,7 @@ impl Plan {
                 // The first matching row, without materializing the rest.
                 let row = entry
                     .frame
-                    .rows()
-                    .iter()
-                    .find(|r| {
-                        pc.is_none_or(|p| r.pc == p) && address.is_none_or(|a| r.address == a)
-                    })
+                    .find(&row_filter(*pc, *address, false))
                     .ok_or(PlanError::EmptyResult)?;
                 Ok(vec![Fact::Outcome {
                     pc: Some(row.pc),

@@ -61,7 +61,7 @@ pub fn resolve_trace_slots(
 /// elsewhere actually lives. Both retrievers' premise checks cite it.
 pub fn pc_homes(db: &dyn TraceStore, intent: &QueryIntent, pc: Pc) -> Vec<String> {
     db.select(&intent.selector.machine_scope())
-        .filter(|e| e.frame.rows().iter().any(|r| r.pc == pc))
+        .filter(|e| e.frame.has_pc(pc))
         .map(|e| e.id.workload.clone())
         .collect::<BTreeSet<_>>()
         .into_iter()

@@ -86,8 +86,7 @@ impl SieveRetriever {
         intent: &QueryIntent,
     ) -> Option<Fact> {
         let pc = intent.pc?;
-        let pc_in_trace = entry.frame.rows().iter().any(|r| r.pc == pc);
-        if !pc_in_trace {
+        if !entry.frame.has_pc(pc) {
             let elsewhere = pc_homes(db, intent, pc);
             let reason = if elsewhere.is_empty() {
                 format!("PC {pc} does not appear in any trace")
@@ -97,7 +96,7 @@ impl SieveRetriever {
             return Some(Fact::PremiseViolation { reason });
         }
         if let Some(addr) = intent.address {
-            let pair_exists = entry.frame.rows().iter().any(|r| r.pc == pc && r.address == addr);
+            let pair_exists = entry.frame.rows_of(pc).any(|r| r.address == addr);
             if !pair_exists {
                 return Some(Fact::PremiseViolation {
                     reason: format!("PC {pc} never accesses address {addr} in this trace"),

@@ -71,6 +71,16 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
+    /// A PC every matching row carries: the first `PcEquals` reachable
+    /// from the root through `And` nodes alone.
+    pub(crate) fn required_pc(&self) -> Option<Pc> {
+        match self {
+            Predicate::PcEquals(pc) => Some(*pc),
+            Predicate::And(a, b) => a.required_pc().or_else(|| b.required_pc()),
+            _ => None,
+        }
+    }
+
     /// Evaluates the predicate against one row.
     pub fn matches(&self, row: &TraceRow) -> bool {
         match self {
@@ -146,5 +156,14 @@ mod tests {
         assert!(p.matches(&r));
         assert!(!p.clone().not().matches(&r));
         assert!(Predicate::PcIn(vec![Pc::new(1), Pc::new(0x401e31)]).matches(&r));
+    }
+
+    #[test]
+    fn required_pc_sees_only_conjuncts() {
+        let pc = Pc::new(0x401e31);
+        let conj = Predicate::True.and(Predicate::IsMiss(true).and(Predicate::PcEquals(pc)));
+        assert_eq!(conj.required_pc(), Some(pc));
+        assert_eq!(Predicate::PcEquals(pc).or(Predicate::True).required_pc(), None);
+        assert_eq!(Predicate::PcEquals(pc).not().required_pc(), None);
     }
 }

@@ -1,11 +1,13 @@
 //! [`TraceFrame`] — the database's per-trace "data_frame".
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use cachemind_sim::addr::Pc;
 use cachemind_workloads::program::ProgramImage;
 
 use crate::filter::Predicate;
+use crate::pc_index::PcIndex;
 use crate::record::TraceRow;
 
 /// A frame of trace rows plus the program image that maps PCs to code.
@@ -13,16 +15,64 @@ use crate::record::TraceRow;
 /// Equivalent to the paper's pandas `data_frame`, with text columns
 /// (`function_name`, `function_code`, `assembly_code`) joined lazily from
 /// the shared [`ProgramImage`].
-#[derive(Debug, Clone)]
+///
+/// The first PC-scoped question asked of a frame ([`TraceFrame::rows_of`],
+/// [`TraceFrame::has_pc`], a predicate with a `PcEquals` conjunct, the
+/// per-PC and per-set statistics) builds the frame's PC index in one pass;
+/// every later one reads it. Decoding and building a frame never do.
+#[derive(Clone)]
 pub struct TraceFrame {
     rows: Vec<TraceRow>,
     program: Arc<ProgramImage>,
+    index: OnceLock<PcIndex>,
+}
+
+impl fmt::Debug for TraceFrame {
+    // The index is derived, lazily built state: leaving it out keeps a
+    // frame's rendering independent of the questions already asked of it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceFrame")
+            .field("rows", &self.rows)
+            .field("program", &self.program)
+            .finish()
+    }
+}
+
+/// The rows a predicate can match: one PC's rows (by row id, or by a scan
+/// when the index keeps no row ids), or the whole frame.
+enum Candidates<'a> {
+    Ids(&'a [TraceRow], std::slice::Iter<'a, u32>),
+    Scan(std::slice::Iter<'a, TraceRow>, Option<Pc>),
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = &'a TraceRow;
+
+    fn next(&mut self) -> Option<&'a TraceRow> {
+        match self {
+            Candidates::Ids(rows, ids) => ids.next().map(|&id| &rows[id as usize]),
+            Candidates::Scan(rows, None) => rows.next(),
+            Candidates::Scan(rows, Some(pc)) => rows.find(|r| r.pc == *pc),
+        }
+    }
 }
 
 impl TraceFrame {
     /// Creates a frame over `rows` with `program` as the code-lookup source.
     pub fn new(rows: Vec<TraceRow>, program: Arc<ProgramImage>) -> Self {
-        TraceFrame { rows, program }
+        TraceFrame { rows, program, index: OnceLock::new() }
+    }
+
+    /// The frame's PC index, built on first use.
+    pub(crate) fn pc_index(&self) -> &PcIndex {
+        self.index.get_or_init(|| PcIndex::build(&self.rows))
+    }
+
+    fn candidates(&self, pc: Option<Pc>) -> Candidates<'_> {
+        match pc.and_then(|pc| self.pc_index().row_ids(pc)) {
+            Some(ids) => Candidates::Ids(&self.rows, ids.iter()),
+            None => Candidates::Scan(self.rows.iter(), pc),
+        }
     }
 
     /// Number of rows.
@@ -45,22 +95,30 @@ impl TraceFrame {
         &self.program
     }
 
-    /// Rows matching `predicate`, in stream order (borrowed).
+    /// Rows issued by `pc`, in stream order.
+    pub fn rows_of(&self, pc: Pc) -> impl Iterator<Item = &TraceRow> + '_ {
+        self.candidates(Some(pc))
+    }
+
+    /// Whether any row was issued by `pc`.
+    pub fn has_pc(&self, pc: Pc) -> bool {
+        self.pc_index().contains(pc)
+    }
+
+    /// Rows matching `predicate`, in stream order (borrowed). A predicate
+    /// with a `PcEquals` conjunct visits only that PC's rows.
     pub fn filter(&self, predicate: &Predicate) -> Vec<&TraceRow> {
-        self.rows.iter().filter(|r| predicate.matches(r)).collect()
+        self.candidates(predicate.required_pc()).filter(|r| predicate.matches(r)).collect()
     }
 
     /// Number of rows matching `predicate`.
     pub fn count(&self, predicate: &Predicate) -> usize {
-        self.rows.iter().filter(|r| predicate.matches(r)).count()
+        self.candidates(predicate.required_pc()).filter(|r| predicate.matches(r)).count()
     }
 
-    /// A new frame containing only rows matching `predicate` (cloned).
-    pub fn select(&self, predicate: &Predicate) -> TraceFrame {
-        TraceFrame {
-            rows: self.rows.iter().filter(|r| predicate.matches(r)).cloned().collect(),
-            program: Arc::clone(&self.program),
-        }
+    /// The first row matching `predicate`, in stream order.
+    pub fn find(&self, predicate: &Predicate) -> Option<&TraceRow> {
+        self.candidates(predicate.required_pc()).find(|r| predicate.matches(r))
     }
 
     /// The `function_name` column value for a PC.
@@ -80,14 +138,7 @@ impl TraceFrame {
 
     /// Distinct PCs in first-seen order.
     pub fn unique_pcs(&self) -> Vec<Pc> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.rows {
-            if seen.insert(r.pc) {
-                out.push(r.pc);
-            }
-        }
-        out
+        self.pc_index().unique_pcs().to_vec()
     }
 
     /// Renders the frame as CSV, one row per access, with the paper's
@@ -127,15 +178,7 @@ impl TraceFrame {
 
     /// Distinct set ids, ascending.
     pub fn unique_sets(&self) -> Vec<usize> {
-        let mut sets: Vec<usize> = self
-            .rows
-            .iter()
-            .map(|r| r.set.index())
-            .collect::<std::collections::HashSet<_>>()
-            .into_iter()
-            .collect();
-        sets.sort_unstable();
-        sets
+        self.pc_index().per_set().iter().map(|s| s.set).collect()
     }
 }
 
@@ -177,11 +220,30 @@ mod tests {
     }
 
     #[test]
-    fn select_produces_subframe() {
+    fn pc_scoped_scans_read_only_that_pcs_rows() {
         let f = frame();
-        let sub = f.select(&Predicate::PcEquals(Pc::new(0x400000)));
-        assert_eq!(sub.len(), 4);
-        assert!(sub.rows().iter().all(|r| r.pc == Pc::new(0x400000)));
+        let pc = Pc::new(0x400000);
+        let indices: Vec<u64> = f.rows_of(pc).map(|r| r.index).collect();
+        assert_eq!(indices, [0, 3, 6, 9]);
+        let p = Predicate::PcEquals(pc).and(Predicate::IsMiss(true));
+        assert_eq!(f.count(&p), 2);
+        assert_eq!(f.find(&p).map(|r| r.index), Some(0));
+        assert!(f.has_pc(pc) && !f.has_pc(Pc::new(0x1)));
+    }
+
+    #[test]
+    fn frames_without_row_ids_fall_back_to_scans() {
+        let indexed = frame();
+        let scanned = frame();
+        assert!(scanned.index.set(PcIndex::build_with_id_limit(scanned.rows(), 0)).is_ok());
+        for pc in [0x400000, 0x400004, 0x400008, 0x1].map(Pc::new) {
+            let p = Predicate::PcEquals(pc).and(Predicate::IsMiss(false));
+            assert_eq!(scanned.filter(&p), indexed.filter(&p));
+            assert_eq!(scanned.count(&p), indexed.count(&p));
+            assert_eq!(scanned.find(&p), indexed.find(&p));
+            assert!(scanned.rows_of(pc).eq(indexed.rows_of(pc)));
+            assert_eq!(scanned.has_pc(pc), indexed.has_pc(pc));
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod database;
 pub mod filter;
 pub mod frame;
 pub mod meta;
+mod pc_index;
 pub mod record;
 pub mod schema;
 pub mod shard;

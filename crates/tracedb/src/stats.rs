@@ -1,8 +1,6 @@
 //! The "Cache Statistical Expert" (§3.2.3): per-PC and per-set statistics
 //! computed over retrieved trace slices.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use cachemind_sim::addr::{Address, Pc};
@@ -94,75 +92,17 @@ impl CacheStatisticalExpert {
 
     /// Per-PC statistics over the whole frame, ascending by PC.
     pub fn per_pc(&self, frame: &TraceFrame) -> Vec<PcStats> {
-        #[derive(Default)]
-        struct Acc {
-            accesses: u64,
-            hits: u64,
-            misses: u64,
-            reuse: Vec<f64>,
-            evicted_reuse: Vec<f64>,
-            evictions: u64,
-        }
-        let mut map: HashMap<Pc, Acc> = HashMap::new();
-        for row in frame.rows() {
-            let acc = map.entry(row.pc).or_default();
-            acc.accesses += 1;
-            if row.is_miss {
-                acc.misses += 1;
-            } else {
-                acc.hits += 1;
-            }
-            if let Some(d) = row.accessed_reuse_distance {
-                acc.reuse.push(d as f64);
-            }
-            if let Some(d) = row.evicted_reuse_distance {
-                acc.evicted_reuse.push(d as f64);
-            }
-            if row.evicted_address.is_some() {
-                acc.evictions += 1;
-            }
-        }
-        let mut out: Vec<PcStats> = map
-            .into_iter()
-            .map(|(pc, acc)| {
-                let (mean, sd) = mean_stddev(&acc.reuse);
-                let (emean, _) = mean_stddev(&acc.evicted_reuse);
-                PcStats {
-                    pc,
-                    accesses: acc.accesses,
-                    hits: acc.hits,
-                    misses: acc.misses,
-                    mean_accessed_reuse: mean,
-                    mean_evicted_reuse: emean,
-                    reuse_stddev: sd,
-                    evictions_caused: acc.evictions,
-                }
-            })
-            .collect();
-        out.sort_by_key(|s| s.pc);
-        out
+        frame.pc_index().per_pc().to_vec()
     }
 
     /// Statistics for one PC, if it appears in the frame.
     pub fn pc_stats(&self, frame: &TraceFrame, pc: Pc) -> Option<PcStats> {
-        self.per_pc(&frame.select(&Predicate::PcEquals(pc))).pop()
+        frame.pc_index().pc_stats(pc).cloned()
     }
 
     /// Per-set statistics, ascending by set index.
     pub fn per_set(&self, frame: &TraceFrame) -> Vec<SetStats> {
-        let mut map: HashMap<usize, SetStats> = HashMap::new();
-        for row in frame.rows() {
-            let s = map.entry(row.set.index()).or_insert(SetStats {
-                set: row.set.index(),
-                accesses: 0,
-                hits: 0,
-            });
-            s.accesses += 1;
-            s.hits += (!row.is_miss) as u64;
-        }
-        let mut out: Vec<SetStats> = map.into_values().collect();
-        out.sort_by_key(|s| s.set);
-        out
+        frame.pc_index().per_set().to_vec()
     }
 
     /// Per-access-kind counters — the "access types" breakdown the paper's
@@ -192,12 +132,7 @@ impl CacheStatisticalExpert {
     /// All recorded outcomes for accesses by `pc` to `address` (byte-exact),
     /// in stream order. `true` = miss.
     pub fn outcomes_for(&self, frame: &TraceFrame, pc: Pc, address: Address) -> Vec<bool> {
-        frame
-            .rows()
-            .iter()
-            .filter(|r| r.pc == pc && r.address == address)
-            .map(|r| r.is_miss)
-            .collect()
+        frame.rows_of(pc).filter(|r| r.address == address).map(|r| r.is_miss).collect()
     }
 
     /// Mean of the `evicted_address_reuse_distance_numeric` column over a
@@ -212,7 +147,7 @@ impl CacheStatisticalExpert {
     }
 }
 
-fn mean_stddev(values: &[f64]) -> (Option<f64>, Option<f64>) {
+pub(crate) fn mean_stddev(values: &[f64]) -> (Option<f64>, Option<f64>) {
     if values.is_empty() {
         return (None, None);
     }
